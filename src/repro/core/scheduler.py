@@ -66,14 +66,18 @@ class Scheduler:
     track_clocks:
         Maintain vector clocks (needed by the race detector and the
         CAUSAL mailbox policy; small constant overhead).
-    record_enabled:
-        Attach reduction metadata to every step: the executed effect's
-        access footprint, the task's spawn-order index (``ltid``) and a
-        summary of the whole enabled set go into the
+    record_from:
+        Step index from which to attach reduction metadata: every step
+        from there on records its access footprint and a summary of
+        the whole enabled set in its
         :class:`~repro.core.trace.TraceEvent`, and enabled
         :class:`Transition` objects carry their declared footprints.
-        Off by default (the explorer's partial-order reduction turns it
-        on; normal runs skip the bookkeeping).
+        ``0`` records every step; ``None`` (default) records nothing.
+        Below the index the state later metadata depends on is still
+        kept — kernel-fed task inputs, shared-access flags and a
+        pending ``Access`` announcement — so from the index on the
+        record equals a full recording's.  The explorer starts it where
+        a run's replayed prefix ends.
     step_hook:
         Optional callable invoked with the scheduler after every
         executed step during :meth:`run`; returning a falsy value stops
@@ -103,7 +107,7 @@ class Scheduler:
                  raise_on_failure: bool = True,
                  max_steps: int = DEFAULT_MAX_STEPS,
                  track_clocks: bool = True,
-                 record_enabled: bool = False,
+                 record_from: Optional[int] = None,
                  step_hook: Optional[Callable[["Scheduler"], bool]] = None,
                  metrics: Optional["KernelMetrics"] = None,
                  monitors: Optional["MonitorBus"] = None):
@@ -112,7 +116,9 @@ class Scheduler:
         self.raise_on_failure = raise_on_failure
         self.max_steps = max_steps
         self.track_clocks = track_clocks
-        self.record_enabled = record_enabled
+        self.record_from = record_from
+        #: the step being executed records reduction metadata
+        self._recording = record_from == 0
         self.step_hook = step_hook
         self.metrics = metrics
         self.monitors = monitors
@@ -176,7 +182,7 @@ class Scheduler:
     # ------------------------------------------------------------------
     def enabled_transitions(self) -> list[Transition]:
         out: list[Transition] = []
-        rec = self.record_enabled
+        rec = self._recording
         for task in self.tasks:
             if task.state is TaskState.READY:
                 if task.choice_options is not None:
@@ -212,6 +218,8 @@ class Scheduler:
         """Execute one transition.  Returns False when the run is over."""
         if all(t.finished for t in self.tasks):
             return False
+        rf = self.record_from
+        rec = self._recording = rf is not None and self._step_no >= rf
         transitions = self.enabled_transitions()
         if not transitions:
             if self._advance_sleepers():
@@ -234,7 +242,7 @@ class Scheduler:
             return False
 
         enabled_summary: Optional[tuple] = None
-        if self.record_enabled:
+        if rec:
             self._sleepers_active = any(
                 t.state is TaskState.SLEEPING for t in self.tasks)
             enabled_summary = tuple(
@@ -321,13 +329,18 @@ class Scheduler:
         # reduction bookkeeping: the executed step's access footprint.
         # Kind contributions must be captured *before* dispatch clears
         # ``blocked_on`` (acquire grants and delivers mutate the object).
-        step_fp: Optional[set] = set() if self.record_enabled else None
-        if step_fp is not None:
-            # an Access yielded last step announced what THIS segment does
+        tracking = self.record_from is not None
+        step_fp: Optional[set] = set() if self._recording else None
+        if tracking:
+            # an Access yielded last step announced what THIS segment
+            # does; consumed even below ``record_from`` so the token
+            # never lands on a later step of the task
             announced = getattr(task, "_announced_access", None)
             if announced is not None:
-                step_fp.add(announced)
                 task._announced_access = None
+                if step_fp is not None:
+                    step_fp.add(announced)
+        if step_fp is not None:
             if tr.kind == "acquire":
                 step_fp.add(("lock", id(task.blocked_on), "w"))
             elif tr.kind == "deliver":
@@ -373,7 +386,7 @@ class Scheduler:
         else:  # pragma: no cover
             raise SimulationError(f"unknown transition kind {tr.kind}")
 
-        if self.record_enabled and value is not None:
+        if tracking and value is not None:
             # kernel-fed inputs (choice picks, delivered messages, join
             # results) become task-local state invisible to fingerprints
             # unless logged: two tasks at the same step with different
@@ -408,13 +421,13 @@ class Scheduler:
             else:
                 if isinstance(effect, Access):
                     access_var, access_kind = effect.var, effect.kind
-                if step_fp is not None:
-                    if isinstance(effect, Access):
+                    if tracking:
                         # the declared access happens in the task's NEXT
                         # segment (`yield Access(...)` precedes the code
                         # it describes) — defer the token to that step
                         task._announced_access = next(iter(effect.footprint()))
-                    elif (isinstance(effect, Acquire)
+                elif step_fp is not None:
+                    if (isinstance(effect, Acquire)
                             and task.state is TaskState.BLOCKED_ACQUIRE):
                         # parking only *observes* the lock; two parks of
                         # different tasks commute (r-r independent),

@@ -43,11 +43,14 @@ class TraceEvent:
     #: spawn-order index of the task — stable across replays of the same
     #: prefix, unlike the process-global ``task_tid`` (reduction bookkeeping)
     task_ltid: int = -1
-    #: executed step's access footprint (only when the scheduler runs
-    #: with ``record_enabled=True``; see Effect.footprint)
+    #: executed step's access footprint (see Effect.footprint); only on
+    #: steps at or past the scheduler's ``record_from`` index — ``None``
+    #: on every other step, including the replayed prefix of an
+    #: explorer run
     footprint: Optional[frozenset] = None
     #: per-transition ``(ltid, kind, key)`` summary of the enabled set
-    #: this step chose from (only with ``record_enabled=True``)
+    #: this step chose from; ``None`` below ``record_from``, like
+    #: ``footprint``
     enabled: Optional[tuple] = None
     #: name of the sync object the yielded effect involves, if any
     #: (lock/monitor name, send/receive mailbox name)

@@ -730,7 +730,7 @@ def run_world(factory: WorldFactory, *, seed: int = 0, budget: int = 400,
         policy = FixedPolicy(list(schedule), tail=RandomPolicy(seed))
     sched = Scheduler(policy, raise_on_deadlock=False,
                       raise_on_failure=False, max_steps=max_steps,
-                      record_enabled=True, monitors=bus)
+                      record_from=0, monitors=bus)
     observe = program(sched)
     trace = sched.run()
     if observe is not None:

@@ -38,6 +38,14 @@ Three optional *reductions* cut the tree without changing the answers
 ``reduce=True`` (or ``"all"``) enables both reductions.  All three are
 off by default: the naive enumeration is the ground truth the reductions
 are tested against.
+
+The reduced search replays each run's committed prefix at the cost of a
+plain run: the scheduler records footprints and enabled summaries only
+from the run's branch depth on (``record_from``), the DFS node stack
+keeps each on-path step's ``(ltid, footprint)`` from the run that first
+executed it, and the conflict scan and subtree-summary fold cover only
+the new suffix — prefix pairs were already handled, on identical steps,
+by the runs that executed them.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Union
 
 from ..core.policy import FixedPolicy, SchedulingPolicy, Transition
 from ..core.scheduler import Scheduler
-from ..core.trace import Trace, TraceEvent
+from ..core.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.monitors import MonitorBus
@@ -267,7 +275,7 @@ def _freeze(value: Any) -> Any:
 def run_schedule(program: Program, schedule: list[int],
                  max_steps: int = 200_000,
                  *,
-                 record_enabled: bool = False,
+                 record_from: Optional[int] = None,
                  step_hook: Optional[Callable[[Scheduler], bool]] = None,
                  monitors: Optional["MonitorBus"] = None,
                  ) -> tuple[Trace, Any]:
@@ -275,14 +283,14 @@ def run_schedule(program: Program, schedule: list[int],
 
     Returns the trace and the frozen observation.  This is the replay
     entry point: feeding back ``trace.schedule()`` reproduces a run.
-    ``record_enabled``/``step_hook``/``monitors`` pass through to the
+    ``record_from``/``step_hook``/``monitors`` pass through to the
     scheduler (the reductions use the first two; ``monitors`` attaches
     a fresh :class:`repro.obs.MonitorBus` for hazard detection — plain
     replay leaves them all off).
     """
     sched = Scheduler(FixedPolicy(schedule, tail=_FirstPolicy()),
                       raise_on_deadlock=False, raise_on_failure=False,
-                      max_steps=max_steps, record_enabled=record_enabled,
+                      max_steps=max_steps, record_from=record_from,
                       step_hook=step_hook, monitors=monitors)
     observe = program(sched)
     trace = sched.run()
@@ -492,11 +500,14 @@ class _Node:
     """One depth of the current DFS path.
 
     ``enabled`` is the replay-stable ``(ltid, kind, key)`` summary of the
-    transitions available here; ``done`` holds indices already executed
-    or scheduled, ``todo`` the backtrack set still awaiting exploration.
+    transitions available here; ``step`` the ``(ltid, footprint)`` of the
+    step the current path takes here (replayed runs do not re-record
+    it); ``done`` holds indices already executed or scheduled, ``todo``
+    the backtrack set still awaiting exploration.
     """
 
     enabled: tuple
+    step: tuple
     done: set = field(default_factory=set)
     todo: list = field(default_factory=list)
 
@@ -540,9 +551,14 @@ def _conflicts(fp_a: Optional[frozenset], fp_b: Optional[frozenset]) -> bool:
     return False
 
 
-def _analyze(events: list[TraceEvent], stack: list[_Node], base: int) -> None:
-    """Seed backtrack sets from one executed trace (DPOR, Flanagan–
+def _analyze(stack: list[_Node], base: int, start: int) -> None:
+    """Seed backtrack sets from one executed path (DPOR, Flanagan–
     Godefroid style adapted to replay exploration).
+
+    Only steps ``j >= start`` (the run's branch depth and below) are
+    scanned: every pair with both steps above ``start`` was scanned, on
+    identical steps, by the run that first executed the later one, and
+    the backtrack sets only grow, so a rescan would add nothing.
 
     For each step ``j``, find its *latest* conflicting predecessor
     ``i`` from a different task where task ``j`` can actually be
@@ -567,43 +583,45 @@ def _analyze(events: list[TraceEvent], stack: list[_Node], base: int) -> None:
       classical fallback) and the scan continues to the co-enabled
       race partner shielded behind it.
     """
-    for j in range(base + 1, len(events)):
-        ej = events[j]
+    for j in range(max(base + 1, start), len(stack)):
+        ltid_j, fp_j = stack[j].step
         for i in range(j - 1, base - 1, -1):
-            ei = events[i]
-            if not _conflicts(ei.footprint, ej.footprint):
+            node = stack[i]
+            ltid_i, fp_i = node.step
+            if not _conflicts(fp_i, fp_j):
                 continue
-            if ei.task_ltid == ej.task_ltid:
+            if ltid_i == ltid_j:
                 continue
-            if stack[i].add_task(ej.task_ltid):
+            if node.add_task(ltid_j):
                 break
-            stack[i].add_everyone()
+            node.add_everyone()
 
 
-def _analyze_virtual(events: list[TraceEvent], stack: list[_Node], base: int,
+def _analyze_virtual(stack: list[_Node], base: int,
                      future_pairs: Iterable[tuple]) -> None:
     """Conflict analysis for steps that were *not* executed.
 
     When the fingerprint reduction cuts a run short, the steps its
     subtree would have taken are known from the first visit's subtree
     summary.  Each such ``(ltid, footprint)`` pair is treated as a
-    virtual step appended after the trace and analysed against the
-    executed prefix, so the backtrack points the pruned subtree would
+    virtual step appended after the path and analysed against the
+    executed steps, so the backtrack points the pruned subtree would
     have generated are not lost (the classic DPOR + state-caching
     interaction).
     """
     for ltid_v, fp_v in future_pairs:
-        for i in range(len(events) - 1, base - 1, -1):
-            ei = events[i]
-            if not _conflicts(ei.footprint, fp_v):
+        for i in range(len(stack) - 1, base - 1, -1):
+            node = stack[i]
+            ltid_i, fp_i = node.step
+            if not _conflicts(fp_i, fp_v):
                 continue
-            if ei.task_ltid == ltid_v:
+            if ltid_i == ltid_v:
                 # program order fixes this pair; earlier steps can
                 # still race with the virtual step (see _analyze)
                 continue
-            if stack[i].add_task(ltid_v):
+            if node.add_task(ltid_v):
                 break
-            stack[i].add_everyone()
+            node.add_everyone()
 
 
 def _sleep_prunes(nodes: Iterable[_Node]) -> int:
@@ -627,9 +645,11 @@ def _explore_reduced(program: Program, *, max_runs: int, max_steps: int,
     stats = result.stats
     prefix: list[int] = list(init_prefix)
     stack: list[_Node] = []
-    #: (depth, Scheduler.fingerprint()) → set of (ltid, footprint) pairs
-    #: executed in the subtree below that state (the summary feeds
-    #: _analyze_virtual; with sleep off an empty set is stored but unused)
+    #: (depth, Scheduler.fingerprint()) → (ltid, footprint) pairs
+    #: executed in the subtree below that state, as insertion-ordered
+    #: dict keys: _analyze_virtual seeds backtrack points in their
+    #: order, so a hash-ordered set would make the search depend on
+    #: PYTHONHASHSEED (with sleep off an empty dict is stored but unused)
     summaries: dict = {}
     #: key of the state after k steps on the current path, index k-1
     path_keys: list = []
@@ -639,6 +659,9 @@ def _explore_reduced(program: Program, *, max_runs: int, max_steps: int,
             result.complete = False
             break
 
+        # the prefix's last decision is this run's branch; everything
+        # before it replays steps whose metadata the stack already holds
+        start = max(0, len(prefix) - 1)
         hook = None
         run_keys: list = []
         if use_fingerprint:
@@ -660,12 +683,12 @@ def _explore_reduced(program: Program, *, max_runs: int, max_steps: int,
                 if key in summaries:
                     stats.fingerprint_hits += 1
                     return False
-                summaries[key] = set()
+                summaries[key] = {}
                 return True
 
         bus = monitor_factory() if monitor_factory is not None else None
         trace, obs = run_schedule(program, prefix, max_steps=max_steps,
-                                  record_enabled=True, step_hook=hook,
+                                  record_from=start, step_hook=hook,
                                   monitors=bus)
         result.record_run(trace, obs, sample_limit)
         if bus is not None:
@@ -676,10 +699,15 @@ def _explore_reduced(program: Program, *, max_runs: int, max_steps: int,
         events = trace.events
         path = trace.schedule()
 
+        # the branch node keeps its enabled set but takes a new step
+        if start < len(stack):
+            e = events[start]
+            stack[start].step = (e.task_ltid, e.footprint)
         # grow the node stack over this run's newly reached depths
         for d in range(len(stack), len(events)):
             e = events[d]
-            node = _Node(enabled=e.enabled or ())
+            node = _Node(enabled=e.enabled or (),
+                         step=(e.task_ltid, e.footprint))
             node.done.add(e.chosen_index)
             if use_sleep:
                 # branch on intra-task nondeterminism unconditionally;
@@ -697,26 +725,28 @@ def _explore_reduced(program: Program, *, max_runs: int, max_steps: int,
                     path_keys.append(None)
                 path_keys[idx] = key
             # every executed step belongs to the subtree of every state
-            # above it on this path: fold it into their summaries
-            ancestors: list = []
-            for j, e in enumerate(events):
-                pair = (e.task_ltid, e.footprint)
+            # above it on this path: fold it into their summaries (steps
+            # above ``start`` were folded by the run that executed them)
+            ancestors = [summaries[k] for k in path_keys[:start]
+                         if k is not None]
+            for j in range(start, len(stack)):
+                pair = stack[j].step
                 for s in ancestors:
-                    s.add(pair)
+                    s[pair] = None
                 k = path_keys[j] if j < len(path_keys) else None
                 if k is not None:
                     ancestors.append(summaries[k])
 
         if use_sleep:
-            _analyze(events, stack, base)
+            _analyze(stack, base, start)
             if trace.outcome == "pruned" and run_keys:
                 # replay the pruned subtree's conflicts from its summary
                 future = tuple(summaries.get(run_keys[-1][1], ()))
-                _analyze_virtual(events, stack, base, future)
+                _analyze_virtual(stack, base, future)
                 for i in range(len(events) - 1):
                     k = path_keys[i] if i < len(path_keys) else None
                     if k is not None:
-                        summaries[k].update(future)
+                        summaries[k].update(dict.fromkeys(future))
 
         # backtrack: deepest node with something left to try
         d = len(stack) - 1
