@@ -13,7 +13,12 @@ daemon task of the deterministic kernel with a
   issued as kernel effects right after — logically "during" processing,
   exactly as the actor axioms allow;
 * quiescence ends a run: when only idle actors remain, the schedule is
-  complete (kernel daemon rule).
+  complete (kernel daemon rule);
+* there is no supervision: a raising handler fails its kernel task,
+  and the monitor bus's ``task-failure`` detector flags the run for
+  the model checker (so ``spawn`` takes no ``directive``).
+
+Lifecycle lives in the shared cell core (:mod:`repro.actors.cell`).
 
 Driver code runs as a kernel task and uses the ``*_gen`` helpers::
 
@@ -35,7 +40,7 @@ from typing import Any, Iterator, Optional
 from ..core.effects import Effect, Receive, Send, Spawn
 from ..core.mailbox import DeliveryPolicy, Mailbox
 from ..core.scheduler import Scheduler
-from .actor import Actor, ActorContext
+from .cell import ActorRuntime, Cell, StopSignal
 from .ref import ActorRef
 
 __all__ = ["SimActorSystem"]
@@ -55,27 +60,19 @@ class _SimEnvelope:
         return f"{self.payload!r}<-{who}"
 
 
-class _StopSignal:
-    def __repr__(self) -> str:
-        return "<stop>"
+class _SimCell(Cell):
+    """A cell whose mailbox is a kernel :class:`Mailbox`."""
 
+    __slots__ = ("processed", "_pending_effects")
 
-class _SimCell:
-    """ActorCell protocol implementation for the kernel runtime."""
-
-    def __init__(self, system: "SimActorSystem", actor: Actor,
-                 name: str, actor_id: int):
-        self.system = system
-        self.actor = actor
+    def __init__(self, system: "SimActorSystem", actor: Any, name: str,
+                 actor_id: int, directive: Any = None):
+        super().__init__(system, actor, name, actor_id, directive)
         self.mailbox = Mailbox(name, policy=system.mailbox_policy)
-        self.ref = ActorRef(actor_id, name, self)
-        self._stopped = False
         #: messages this actor has handled (stop signals excluded)
         self.processed = 0
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
+        #: sends/spawns the running handler buffered, issued as effects
+        self._pending_effects: list[tuple] = []
 
     def enqueue(self, message: Any, sender: Optional[ActorRef]) -> None:
         """Reached via ``ref.tell`` — only legal while a handler runs,
@@ -89,59 +86,48 @@ class _SimCell:
                 "SimActorSystem.tell_gen(...) from kernel code")
         outbox.append(("send", self, _SimEnvelope(message, sender)))
 
+    def _take_all(self) -> tuple:
+        # mail behind the stop stays in the kernel mailbox: it is
+        # kernel state the explorer sees, and nobody receives it
+        return ()
 
-class SimActorSystem:
+
+class SimActorSystem(ActorRuntime):
     """Deterministic actor runtime on a :class:`Scheduler`.
 
     ``mailbox_policy`` selects which arrival reorderings exist —
     ARBITRARY is the paper's semantics, PER_SENDER_FIFO is the
     Erlang/Akka guarantee, FIFO is misconception M5's faulty world.
+
+    ``spawn`` works from driver setup code and from inside handlers;
+    ``tell``/``stop`` only from inside handlers, where sends are
+    buffered — driver code uses the ``*_gen`` helpers.
     """
 
     _ids = itertools.count(1)
+    _cell_type = _SimCell
 
     def __init__(self, sched: Scheduler,
                  mailbox_policy: DeliveryPolicy = DeliveryPolicy.ARBITRARY):
+        super().__init__("sim-actors", directive=None)
         self.sched = sched
         self.mailbox_policy = mailbox_policy
         self._outbox: Optional[list[tuple]] = None
-        self.cells: list[_SimCell] = []
 
-    # ------------------------------------------------------------------
-    def spawn(self, actor_class: type, *args: Any, name: str = "",
-              **kwargs: Any) -> ActorRef:
-        """Create an actor; runs as a kernel daemon task.
-
-        Callable both from driver setup code (before/outside the run)
-        and from inside handlers (Hewitt axiom 2) — in the latter case
-        the task spawn is buffered as an effect.
-        """
-        if not issubclass(actor_class, Actor):
-            raise TypeError(f"{actor_class.__name__} is not an Actor subclass")
-        actor = actor_class(*args, **kwargs)
-        actor_id = next(self._ids)
-        cell = _SimCell(self, actor,
-                        name or f"{actor_class.__name__.lower()}-{actor_id}",
-                        actor_id)
-        actor.context = ActorContext(self, cell.ref)
-        self.cells.append(cell)
+    def _launch(self, cell: _SimCell) -> None:
+        """Run the new actor as a kernel daemon task — buffered as a
+        Spawn effect when a handler spawns it (Hewitt axiom 2)."""
         if self._outbox is not None:
             self._outbox.append(("spawn", cell, None))
         else:
             self.sched.spawn(self._actor_loop(cell), name=cell.ref.name,
                              daemon=True)
-        return cell.ref
-
-    def stop(self, ref: ActorRef) -> None:
-        """Usable from inside handlers only (buffers a stop signal)."""
-        cell = self._cell_of(ref)
-        cell.enqueue(_StopSignal(), None)
 
     def _cell_of(self, ref: ActorRef) -> _SimCell:
-        for cell in self.cells:
-            if cell.ref == ref:
-                return cell
-        raise KeyError(f"unknown ref {ref!r}")
+        cell = self._cells.get(ref.actor_id)
+        if cell is None:
+            raise KeyError(f"unknown ref {ref!r}")
+        return cell
 
     def hazards(self) -> list:
         """Hazards the kernel's monitor bus collected, if one is attached.
@@ -171,7 +157,7 @@ class SimActorSystem:
                 "delivered": cell.mailbox.delivered_count,
                 "stopped": cell.stopped,
             }
-            for cell in self.cells
+            for cell in self._cells.values()
         }
 
     # ------------------------------------------------------------------
@@ -187,7 +173,7 @@ class SimActorSystem:
         """Stop an actor from driver code (graceful: queued messages
         delivered first under FIFO policies)."""
         cell = self._cell_of(ref)
-        yield Send(cell.mailbox, _SimEnvelope(_StopSignal(), None))
+        yield Send(cell.mailbox, _SimEnvelope(StopSignal(), None))
 
     def ask_gen(self, ref: ActorRef, payload: Any,
                 name: str = "ask") -> Iterator[Effect]:
@@ -200,21 +186,14 @@ class SimActorSystem:
         return envelope.payload
 
     def _actor_loop(self, cell: _SimCell) -> Iterator[Effect]:
-        actor = cell.actor
-        self._run_handler(cell, actor.pre_start)
+        self._run_handler(cell, cell.start)
         yield from self._flush(cell)
-        while True:
+        while not cell.stopped:
             envelope = yield Receive(cell.mailbox)
-            if isinstance(envelope.payload, _StopSignal):
-                cell._stopped = True
-                self._run_handler(cell, actor.post_stop)
-                yield from self._flush(cell)
-                return
-            actor.context.sender = envelope.sender
-            self._run_handler(cell, actor.current_behaviour(),
-                              envelope.payload, envelope.sender)
-            actor.context.sender = None
-            cell.processed += 1
+            self._run_handler(cell, cell.deliver, envelope.payload,
+                              envelope.sender)
+            if not cell.stopped:
+                cell.processed += 1
             yield from self._flush(cell)
 
     def _run_handler(self, cell: _SimCell, fn, *args: Any) -> None:
@@ -225,20 +204,17 @@ class SimActorSystem:
         finally:
             buffered = self._outbox
             self._outbox = previous
-            cell._pending_effects = buffered  # type: ignore[attr-defined]
+            cell._pending_effects = buffered
 
     def _flush(self, cell: _SimCell) -> Iterator[Effect]:
         """Issue the effects the handler buffered."""
-        for kind, target, envelope in getattr(cell, "_pending_effects", []):
+        for kind, target, envelope in cell._pending_effects:
             if kind == "send":
-                if isinstance(target, _ReplyRef):
-                    yield Send(target.mailbox, envelope)
-                else:
-                    yield Send(target.mailbox, envelope)
+                yield Send(target.mailbox, envelope)
             elif kind == "spawn":
                 yield Spawn(self._actor_loop(target), name=target.ref.name,
                             daemon=True)
-        cell._pending_effects = []  # type: ignore[attr-defined]
+        cell._pending_effects = []
 
 
 class _ReplyRef(ActorRef):

@@ -26,11 +26,10 @@ Each traced handler run spends one hop of the request's per-process
 budget (``CausalTracer.hop_budget``), so a runaway request stops
 paying tracing costs once its first few hundred hops are recorded.
 
-Failures route to the actor's supervision directive: ``resume`` (drop
-the message), ``restart`` (clear behaviour stack via ``pre_restart``),
-or ``stop``.  Messages to stopped actors go to ``dead_letters``; a stop
-in the middle of a drained batch dead-letters the batch's remainder,
-exactly as if the messages were still queued.
+Lifecycle, supervision (RESUME/RESTART/STOP) and dead-lettering live
+in the shared cell core (:mod:`repro.actors.cell`); this module is the
+dispatch only.  A stop in the middle of a drained batch dead-letters
+the batch's remainder, exactly as if the messages were still queued.
 """
 
 from __future__ import annotations
@@ -38,92 +37,30 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from enum import Enum
 from typing import Any, Optional
 
-from ..threads.sync import Monitor
-from .actor import Actor, ActorContext
+from .cell import (ActorRuntime, Cell, DeadLetter, StopSignal,
+                   SupervisionDirective)
 from .executor import WorkStealingExecutor
 from .ref import ActorRef
 
 __all__ = ["SupervisionDirective", "ActorSystem", "DeadLetter"]
 
 
-class SupervisionDirective(Enum):
-    RESUME = "resume"
-    RESTART = "restart"
-    STOP = "stop"
+class _Cell(Cell):
+    """A cell plus the dispatcher's scheduling state."""
 
+    __slots__ = ("_sched", "enq_times", "_batch", "_run", "affinity")
 
-class DeadLetter:
-    """Record of a message that could not be delivered.
-
-    ``ctx`` preserves the causal-tracing context the message carried at
-    the drop point — either a live ``RequestContext`` or the cluster
-    wire triple ``(request_id, span_id, t_send)`` — so ``repro
-    critical`` and postmortem bundles can attribute the drop to the
-    request that lost it.
-    """
-
-    __slots__ = ("target", "message", "sender", "ctx")
-
-    def __init__(self, target: str, message: Any, sender: Optional[ActorRef],
-                 ctx: Any = None):
-        self.target = target
-        self.message = message
-        self.sender = sender
-        self.ctx = ctx
-
-    @property
-    def request_id(self) -> Optional[str]:
-        """Request id of the dropped message's causal context, if any."""
-        ctx = self.ctx
-        if ctx is None:
-            return None
-        rid = getattr(ctx, "request_id", None)
-        if rid is not None:
-            return rid
-        try:
-            return ctx[0]
-        except (TypeError, IndexError, KeyError):
-            return None
-
-    def __repr__(self) -> str:
-        rid = self.request_id
-        tail = f" [req {rid}]" if rid is not None else ""
-        return f"<DeadLetter to {self.target}: {self.message!r}{tail}>"
-
-
-class _StopSignal:
-    """Internal poison pill appended by ``system.stop``."""
-
-
-class _Cell:
-    """Runtime state of one actor: mailbox, flags, instance."""
-
-    __slots__ = ("system", "actor", "ref", "mailbox", "lock", "_sched",
-                 "_stopped", "started", "directive", "enq_times",
-                 "_batch", "_run", "affinity")
-
-    def __init__(self, system: "ActorSystem", actor: Actor, ref_name: str,
+    def __init__(self, system: "ActorSystem", actor: Any, name: str,
                  actor_id: int,
-                 directive: Optional["SupervisionDirective"] = None):
-        self.system = system
-        self.actor = actor
-        self.ref = ActorRef(actor_id, ref_name, self)
-        self.mailbox: deque[tuple[Any, Optional[ActorRef]]] = deque()
-        #: profiler-mode lock: keeps ``enq_times`` aligned with the
-        #: mailbox, and serializes the stop-drain against late enqueues
-        self.lock = threading.Lock()
+                 directive: Optional[SupervisionDirective] = None):
+        super().__init__(system, actor, name, actor_id, directive)
         #: the scheduled flag *is* this lock's held/free state —
         #: ``acquire(False)`` is an atomic test-and-set, so the
         #: profiler-off enqueue path claims scheduling rights without
         #: ever blocking or taking ``self.lock``
         self._sched = threading.Lock()
-        self._stopped = False
-        self.started = False
-        #: per-actor supervision override (None = system default)
-        self.directive = directive
         #: enqueue timestamps, parallel to ``mailbox`` (profiling only —
         #: both deques are pushed/popped together under ``lock``, so the
         #: head timestamp always belongs to the head message)
@@ -137,19 +74,10 @@ class _Cell:
         #: worker's deque (and that worker's caches) unless stolen
         self.affinity = actor_id
 
-    # -- ActorCell protocol ---------------------------------------------------
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     @property
     def scheduled(self) -> bool:
         """True while a processing job is queued or running for us."""
         return self._sched.locked()
-
-    def depth(self) -> int:
-        """Messages currently pending in the mailbox."""
-        return len(self.mailbox)
 
     def enqueue(self, message: Any, sender: Optional[ActorRef]) -> None:
         system = self.system
@@ -173,7 +101,7 @@ class _Cell:
                 return
             self.mailbox.append(entry)
             if self._stopped:
-                # raced _do_stop: its drain may have run before our
+                # raced stop(): its drain may have run before our
                 # append landed — flush so nothing rots in a dead mailbox
                 self._drain_to_dead_letters()
                 return
@@ -198,15 +126,10 @@ class _Cell:
     def _process(self) -> None:
         system = self.system
         actor = self.actor
-        if not self.started:
-            self.started = True
-            try:
-                actor.pre_start()
-            except BaseException as exc:  # noqa: BLE001
-                system._on_failure(self, exc, "<pre_start>")
-            if self._stopped:          # STOP directive fired in pre_start
-                self._sched.release()
-                return
+        if not self.started and not self.start():
+            # STOP directive fired in pre_start
+            self._sched.release()
+            return
         prof = system.profiler
         trc = system.tracer
         mailbox = self.mailbox
@@ -253,8 +176,8 @@ class _Cell:
         for i in range(n):
             entry = batch[i]
             message, sender = entry[0], entry[1]
-            if isinstance(message, _StopSignal):
-                self._do_stop()
+            if isinstance(message, StopSignal):
+                self.stop()
             else:
                 context = actor.context
                 context.sender = sender
@@ -321,12 +244,7 @@ class _Cell:
                 # stop (poison pill or STOP directive) mid-batch: the
                 # batch remainder is mail behind the stop — dead-letter
                 # it exactly like the messages still in the mailbox
-                for j in range(i + 1, n):
-                    late, late_sender = batch[j][0], batch[j][1]
-                    if not isinstance(late, _StopSignal):
-                        system._dead_letter(
-                            self.ref.name, late, late_sender,
-                            batch[j][2] if len(batch[j]) > 2 else None)
+                self._dead_letter_all(batch[i + 1:n])
                 del batch[:]
                 self._sched.release()
                 return
@@ -346,28 +264,12 @@ class _Cell:
             if not system._executor.submit(self._run, affinity=self.affinity):
                 self._reject()
 
-    def _do_stop(self) -> None:
-        with self.lock:
-            self._stopped = True
-        self._drain_to_dead_letters()
-        try:
-            self.actor.post_stop()
-        except BaseException:  # noqa: BLE001 - post_stop must not kill workers
-            pass
-        self.system._forget(self)
-
-    def _drain_to_dead_letters(self) -> None:
-        """Atomically swap out everything queued and dead-letter it."""
+    def _take_all(self) -> list:
         with self.lock:
             leftovers = list(self.mailbox)
             self.mailbox.clear()
             self.enq_times.clear()
-        for entry in leftovers:
-            message, sender = entry[0], entry[1]
-            if not isinstance(message, _StopSignal):
-                self.system._dead_letter(self.ref.name, message, sender,
-                                         entry[2] if len(entry) > 2
-                                         else None)
+        return leftovers
 
     def _reject(self) -> None:
         """The executor refused a submit (it is shut down): we hold the
@@ -381,7 +283,7 @@ class _Cell:
                 return
 
 
-class ActorSystem:
+class ActorSystem(ActorRuntime):
     """Container + dispatcher for a set of actors.
 
     ::
@@ -393,15 +295,15 @@ class ActorSystem:
     """
 
     _ids = itertools.count(1)
+    _cell_type = _Cell
 
     def __init__(self, workers: int = 4, throughput: int = 16,
                  directive: SupervisionDirective = SupervisionDirective.RESTART,
                  name: str = "actor-system",
                  profiler: Optional[Any] = None,
                  tracer: Optional[Any] = None):
-        self.name = name
+        super().__init__(name, directive)
         self.throughput = throughput
-        self.directive = directive
         #: optional :class:`repro.obs.Profiler` — mailbox latency/depth,
         #: message throughput, executor steals/parks; None keeps the
         #: dispatch path untouched
@@ -414,50 +316,17 @@ class ActorSystem:
         self._executor = WorkStealingExecutor(workers,
                                               name=f"{name}.dispatch",
                                               profiler=profiler)
-        self._cells: dict[int, _Cell] = {}
-        self._cells_lock = threading.Lock()
-        self.dead_letters: list[DeadLetter] = []
-        self._dl_lock = threading.Lock()
-        self._failures: list[tuple[str, BaseException]] = []
-        self._failures_lock = threading.Lock()
-        #: optional callback (name, error, applied_directive) invoked after
-        #: a failure is handled — the cluster layer hangs watch signals here
-        self.failure_listener: Optional[Any] = None
-        self._idle = Monitor(f"{name}.idle")
 
-    # ------------------------------------------------------------------
-    def spawn(self, actor_class: type, *args: Any, name: str = "",
-              directive: Optional[SupervisionDirective] = None,
-              **kwargs: Any) -> ActorRef:
-        """Instantiate and register an actor; returns its ref.
-
-        ``directive`` overrides the system-wide supervision default for
-        this actor only — one crashing actor can be STOPped while the
-        rest RESTART.
-        """
-        if not issubclass(actor_class, Actor):
-            raise TypeError(f"{actor_class.__name__} is not an Actor subclass")
-        actor = actor_class(*args, **kwargs)
-        actor_id = next(self._ids)
-        cell = _Cell(self, actor, name or
-                     f"{actor_class.__name__.lower()}-{actor_id}", actor_id,
-                     directive=directive)
-        actor.context = ActorContext(self, cell.ref)
-        with self._cells_lock:
-            self._cells[actor_id] = cell
+    def _launch(self, cell: _Cell) -> None:
         # schedule once immediately so pre_start runs even for actors
         # that initiate conversations instead of waiting for mail
         cell._sched.acquire()
         if not self._executor.submit(cell._run, affinity=cell.affinity):
             cell._reject()
-        return cell.ref
 
-    def stop(self, ref: ActorRef) -> None:
-        """Graceful stop: processes messages already enqueued first."""
-        ref.tell(_StopSignal())
-
-    def tell(self, ref: ActorRef, message: Any) -> None:
-        ref.tell(message, sender=None)
+    def _forget(self, cell: Cell) -> None:
+        with self._cells_lock:
+            self._cells.pop(cell.ref.actor_id, None)
 
     # ------------------------------------------------------------------
     def drain(self, timeout: float = 10.0) -> bool:
@@ -498,61 +367,6 @@ class ActorSystem:
         """Dispatcher counters: queued, executed, steals, parks,
         local_hits, workers."""
         return self._executor.stats
-
-    # ------------------------------------------------------------------
-    # runtime callbacks
-    # ------------------------------------------------------------------
-    def _dead_letter(self, target: str, message: Any,
-                     sender: Optional[ActorRef], ctx: Any = None) -> None:
-        with self._dl_lock:
-            self.dead_letters.append(DeadLetter(target, message, sender,
-                                                ctx))
-
-    def _forget(self, cell: _Cell) -> None:
-        with self._cells_lock:
-            self._cells.pop(cell.ref.actor_id, None)
-        with self._idle:
-            self._idle.notify_all()
-
-    def _on_failure(self, cell: _Cell, error: BaseException,
-                    message: Any) -> None:
-        # runs on dispatch workers: the failure log needs the same
-        # lock discipline as dead_letters
-        with self._failures_lock:
-            self._failures.append((cell.ref.name, error))
-        directive = cell.directive if cell.directive is not None \
-            else self.directive
-        if directive is SupervisionDirective.RESTART:
-            try:
-                cell.actor.pre_restart(error, message)
-            except BaseException:  # noqa: BLE001
-                pass
-        elif directive is SupervisionDirective.STOP:
-            cell._do_stop()
-        listener = self.failure_listener
-        if listener is not None:
-            try:
-                listener(cell.ref.name, error, directive)
-            except BaseException:  # noqa: BLE001 - listeners must not
-                pass               # kill dispatch workers
-
-    def failures(self) -> list[tuple[str, BaseException]]:
-        """Snapshot copy of every (actor name, error) recorded so far."""
-        with self._failures_lock:
-            return list(self._failures)
-
-    def set_directive(self, ref: ActorRef,
-                      directive: Optional[SupervisionDirective]) -> None:
-        """Change one actor's supervision override (None = system default)."""
-        with self._cells_lock:
-            cell = self._cells.get(ref.actor_id)
-        if cell is not None:
-            cell.directive = directive
-
-    @property
-    def actor_count(self) -> int:
-        with self._cells_lock:
-            return len(self._cells)
 
     def __enter__(self) -> "ActorSystem":
         return self

@@ -43,7 +43,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..actors import Actor, ActorRef, ActorSystem, SupervisionDirective
+from ..actors import (Actor, ActorRef, ActorRuntime, ActorSystem,
+                      SupervisionDirective)
 from ..obs.protocol import message_kind
 from .delivery import CreditGate, DedupTable, Outbox, RetryPolicy
 from .message import (ACK, CREDIT, HEARTBEAT, RELIABLE_KINDS, REPLY, SIGNAL,
@@ -275,7 +276,7 @@ class ClusterNode:
     def __init__(self, name: str, transport: Any,
                  serializer: Optional[Serializer] = None,
                  config: Optional[ClusterConfig] = None,
-                 system: Optional[ActorSystem] = None,
+                 system: Optional[ActorRuntime] = None,
                  workers: int = 4,
                  profiler: Optional[Any] = None,
                  tracer: Optional[Any] = None,
@@ -305,10 +306,6 @@ class ClusterNode:
         #: to real time; the simulator injects its virtual clock so a
         #: replayed run's trace exports are byte-comparable.
         self.wall = wall if wall is not None else time.time
-        #: sleep seam for the timer loop and busy-wait drains — the
-        #: simulator never starts those threads, but the seam keeps
-        #: every blocking wait injectable alongside ``clock``
-        self._sleep: Callable[[float], None] = time.sleep
         self.closed = False
 
         # local actor registry: actor name -> local ref
@@ -687,7 +684,7 @@ class ClusterNode:
         while self._proto_q:
             if time.monotonic() >= deadline:
                 return False
-            self._sleep(0.001)
+            time.sleep(0.001)
         return True
 
     def _count_local_fastpath(self, actor: str,
@@ -1421,7 +1418,7 @@ class ClusterNode:
 
     def _timer_loop(self) -> None:
         while not self.closed:
-            self._sleep(self.config.tick_interval)
+            time.sleep(self.config.tick_interval)
             try:
                 self.tick()
             except Exception:
@@ -1454,7 +1451,7 @@ class ClusterNode:
             now = trc.now()
             trc.record(trc.next_id(), parent, req, "dead-letter",
                        target, now, now)
-        self.system._dead_letter(target, message, None, ctx=ctx)
+        self.system._dead_letter(target, message, None, ctx=ctx, why=why)
         extra = {"why": why}
         if req is not None:
             extra["request_id"] = req
@@ -1533,7 +1530,7 @@ class ClusterNode:
             if time.monotonic() >= deadline:
                 return False
             self.pump()
-            self._sleep(0.001)
+            time.sleep(0.001)
 
     def close(self) -> None:
         if self.closed:

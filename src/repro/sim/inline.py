@@ -3,146 +3,57 @@
 The threaded :class:`~repro.actors.system.ActorSystem` dispatches
 mailboxes on a work-stealing executor — real parallelism, real
 nondeterminism.  Under deterministic simulation that nondeterminism
-must be *scheduled*, not raced, so :class:`InlineActorSystem` keeps
-the same public surface the cluster node uses (``spawn``, ``stop``,
-``set_directive``, ``dead_letters``/``_dl_lock``, ``_dead_letter``,
-``_quiet``, ``shutdown``, ``failure_listener``) but never starts a
-thread: ``tell`` only enqueues, and one message is processed when —
-and only when — the simulation driver calls :meth:`process_one`.
-Which actor runs next is therefore a schedulable decision like any
-frame delivery.
+must be *scheduled*, not raced, so :class:`InlineActorSystem` never
+starts a thread: ``tell`` only enqueues, and one message is processed
+when — and only when — the simulation driver calls
+:meth:`process_one`.  Which actor runs next is therefore a schedulable
+decision like any frame delivery.
 
-Supervision semantics mirror the threaded system exactly: RESUME drops
-the message, RESTART runs ``pre_restart`` (swallowing its errors),
-STOP stops the cell and dead-letters the rest of its mailbox, and the
-``failure_listener`` (the cluster node's watch-signal hook) is invoked
-with ``(name, error, directive)`` either way.
+Lifecycle, supervision and dead-lettering are the shared cell core's
+(:mod:`repro.actors.cell`), so they are the threaded system's by
+construction; ``pre_start`` runs at spawn, on the spawner's stack.
 
 Actor ids come from a per-instance counter, not the threaded system's
 process-global one, so actor names and ref reprs are identical on
 every replay of a schedule — a requirement for stable fingerprints.
+Cells are kept by name in spawn order, stopped ones included (a
+respawn under the same name takes the old cell's place), because the
+world's replay digest reads them.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
+import itertools
 from typing import Any, Callable, Optional
 
-from ..actors.actor import Actor, ActorContext
-from ..actors.ref import ActorRef
-from ..actors.system import DeadLetter, SupervisionDirective
+from ..actors.cell import ActorRuntime, Cell, StopSignal, SupervisionDirective
 
 __all__ = ["InlineActorSystem"]
 
 
-class _InlineStop:
-    """Poison pill appended by ``stop`` (processed in mailbox order)."""
-
-
-class _InlineCell:
-    """One actor's state: mailbox deque + lifecycle flags, no threads."""
-
-    __slots__ = ("system", "actor", "ref", "mailbox", "started",
-                 "_stopped", "directive")
-
-    def __init__(self, system: "InlineActorSystem", actor: Actor,
-                 ref_name: str, actor_id: int,
-                 directive: Optional[SupervisionDirective] = None):
-        self.system = system
-        self.actor = actor
-        self.ref = ActorRef(actor_id, ref_name, self)
-        self.mailbox: deque = deque()
-        self.started = False
-        self._stopped = False
-        self.directive = directive
-
-    # -- ActorCell protocol (what ActorRef.tell/is_stopped/pending use) --
-    def enqueue(self, message: Any, sender: Optional[ActorRef],
-                ctx: Any = None) -> None:
-        if self._stopped:
-            self.system._dead_letter(self.ref.name, message, sender,
-                                     ctx=ctx)
-            return
-        self.mailbox.append((message, sender))
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
-    def depth(self) -> int:
-        return len(self.mailbox)
-
-
-class InlineActorSystem:
+class InlineActorSystem(ActorRuntime):
     """Drop-in ``ActorSystem`` for :class:`~repro.sim.world.SimWorld`.
 
     ``on_deliver(actor_name, message)`` — optional hook called after
-    every processed user message (the world's delivery ledger);
-    ``on_dead_letter(target, message)`` — called on every dead letter.
+    every processed user message (the world's delivery ledger).
     """
 
     def __init__(self, name: str = "sim-system",
                  directive: SupervisionDirective =
                  SupervisionDirective.RESTART):
-        self.name = name
-        self.directive = directive
-        self._ids = 0                       # per-instance: replay-stable
-        self._cells: dict[str, _InlineCell] = {}   # by ref name, ordered
-        self.dead_letters: list[DeadLetter] = []
-        # real (uncontended) lock: the cluster node snapshots
-        # dead_letters under system._dl_lock
-        self._dl_lock = threading.Lock()
-        self._failures: list[tuple[str, BaseException]] = []
-        self.failure_listener: Optional[Any] = None
-        self.profiler = None
-        self.tracer = None
+        super().__init__(name, directive)
+        self._ids = itertools.count(1)      # per-instance: replay-stable
         self.on_deliver: Optional[Callable[[str, Any], None]] = None
-        self.on_dead_letter: Optional[Callable[[str, Any], None]] = None
 
-    # ------------------------------------------------------------------
-    # the ActorSystem surface the cluster node uses
-    # ------------------------------------------------------------------
-    def spawn(self, actor_class: type, *args: Any, name: str = "",
-              directive: Optional[SupervisionDirective] = None,
-              **kwargs: Any) -> ActorRef:
-        if not issubclass(actor_class, Actor):
-            raise TypeError(f"{actor_class.__name__} is not an Actor "
-                            f"subclass")
-        actor = actor_class(*args, **kwargs)
-        self._ids += 1
-        ref_name = name or f"{actor_class.__name__.lower()}-{self._ids}"
-        if ref_name in self._cells and not self._cells[ref_name].stopped:
-            raise ValueError(f"actor {ref_name!r} already exists")
-        cell = _InlineCell(self, actor, ref_name, self._ids,
-                           directive=directive)
-        actor.context = ActorContext(self, cell.ref)
-        self._cells[ref_name] = cell
-        return cell.ref
+    def _register(self, cell: Cell) -> None:
+        name = cell.ref.name
+        old = self._cells.get(name)
+        if old is not None and not old.stopped:
+            raise ValueError(f"actor {name!r} already exists")
+        self._cells[name] = cell
 
-    def stop(self, ref: ActorRef) -> None:
-        """Graceful stop: earlier mailbox entries process first."""
-        ref.tell(_InlineStop())
-
-    def tell(self, ref: ActorRef, message: Any) -> None:
-        ref.tell(message, sender=None)
-
-    def set_directive(self, ref: ActorRef,
-                      directive: Optional[SupervisionDirective]) -> None:
-        cell = self._cells.get(ref.name)
-        if cell is not None:
-            cell.directive = directive
-
-    def failures(self) -> list[tuple[str, BaseException]]:
-        return list(self._failures)
-
-    def _dead_letter(self, target: str, message: Any,
-                     sender: Optional[ActorRef], ctx: Any = None) -> None:
-        with self._dl_lock:
-            self.dead_letters.append(DeadLetter(target, message, sender,
-                                                ctx))
-        if self.on_dead_letter is not None:
-            self.on_dead_letter(target, message)
+    def _launch(self, cell: Cell) -> None:
+        cell.start()
 
     def _quiet(self) -> bool:
         return all(not c.mailbox for c in self._cells.values())
@@ -158,12 +69,7 @@ class InlineActorSystem:
 
     def shutdown(self) -> None:
         for cell in list(self._cells.values()):
-            if not cell.stopped:
-                self._do_stop(cell)
-
-    @property
-    def actor_count(self) -> int:
-        return sum(1 for c in self._cells.values() if not c.stopped)
+            cell.stop()
 
     # ------------------------------------------------------------------
     # the simulation pump
@@ -184,60 +90,9 @@ class InlineActorSystem:
         cell = self._cells.get(name)
         if cell is None or cell.stopped or not cell.mailbox:
             return False
-        actor = cell.actor
-        if not cell.started:
-            cell.started = True
-            try:
-                actor.pre_start()
-            except BaseException as exc:  # noqa: BLE001
-                self._on_failure(cell, exc, "<pre_start>")
-            if cell.stopped:          # STOP directive fired in pre_start
-                return True
         message, sender = cell.mailbox.popleft()
-        if isinstance(message, _InlineStop):
-            self._do_stop(cell)
-            return True
-        context = actor.context
-        context.sender = sender
-        try:
-            actor.current_behaviour()(message, sender)
-        except BaseException as exc:  # noqa: BLE001
-            self._on_failure(cell, exc, message)
-        finally:
-            context.sender = None
-        if self.on_deliver is not None:
+        cell.deliver(message, sender)
+        if self.on_deliver is not None \
+                and not isinstance(message, StopSignal):
             self.on_deliver(name, message)
         return True
-
-    # ------------------------------------------------------------------
-    def _do_stop(self, cell: _InlineCell) -> None:
-        if cell.stopped:
-            return
-        cell._stopped = True
-        while cell.mailbox:
-            late, late_sender = cell.mailbox.popleft()
-            if not isinstance(late, _InlineStop):
-                self._dead_letter(cell.ref.name, late, late_sender)
-        try:
-            cell.actor.post_stop()
-        except BaseException:  # noqa: BLE001
-            pass
-
-    def _on_failure(self, cell: _InlineCell, error: BaseException,
-                    message: Any) -> None:
-        self._failures.append((cell.ref.name, error))
-        directive = cell.directive if cell.directive is not None \
-            else self.directive
-        if directive is SupervisionDirective.RESTART:
-            try:
-                cell.actor.pre_restart(error, message)
-            except BaseException:  # noqa: BLE001
-                pass
-        elif directive is SupervisionDirective.STOP:
-            self._do_stop(cell)
-        listener = self.failure_listener
-        if listener is not None:
-            try:
-                listener(cell.ref.name, error, directive)
-            except BaseException:  # noqa: BLE001
-                pass

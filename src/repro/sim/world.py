@@ -390,16 +390,22 @@ class SimWorld:
             entry.delivered += 1
 
     def _wrap_dead_letter(self, node: ClusterNode) -> None:
-        orig = node._dead_letter
+        """Count drops where they are all recorded: the system's one
+        dead-letter path, which node-level drops (with their ``why``)
+        and actor-level ones (mail to a stopped actor) both reach."""
+        system = node.system
+        orig = system._dead_letter
 
-        def wrapped(target: str, message: Any, why: str,
-                    ctx: Any = None) -> None:
-            self._on_dead(node, target, message, why)
-            orig(target, message, why, ctx=ctx)
-        node._dead_letter = wrapped
+        def wrapped(target: str, message: Any, sender: Any,
+                    ctx: Any = None, why: Optional[str] = None) -> None:
+            self._on_dead(node, target, message, why or "actor stopped")
+            orig(target, message, sender, ctx=ctx, why=why)
+        system._dead_letter = wrapped
 
     def _on_dead(self, node: ClusterNode, target: str, message: Any,
                  why: str) -> None:
+        if "/" not in target:       # actor-level: a local actor's name
+            target = f"{node.name}/{target}"
         try:
             entry = self.ledger.get(message)
         except TypeError:
@@ -407,7 +413,7 @@ class SimWorld:
         if entry is not None and entry.path == target:
             entry.dead += 1
             entry.whys.append(why)
-        if "down" in why and "/" in target:
+        if "down" in why:
             # a drop blamed on a down peer while the failure detector
             # says the peer is ALIVE: the sender is refusing traffic it
             # could deliver — a stale broken credit gate survived the

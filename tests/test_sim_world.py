@@ -16,9 +16,9 @@ from repro.sim.world import SimHub, sim_config
 
 
 class Recorder(Actor):
-    def __init__(self):
+    def __init__(self, got=None):
         super().__init__()
-        self.got = []
+        self.got = got if got is not None else []
 
     def receive(self, message, sender):
         self.got.append(message)
@@ -60,23 +60,25 @@ class TestSimClock:
 class TestInlineSystem:
     def test_tell_only_enqueues_until_pumped(self):
         sys_ = InlineActorSystem()
-        ref = sys_.spawn(Recorder, name="r")
+        got = []
+        ref = sys_.spawn(Recorder, got, name="r")
         ref.tell("x")
-        assert sys_._cells["r"].actor.got == []
+        assert got == []
         assert sys_.pending() == ["r"]
         assert sys_.process_one("r")
-        assert sys_._cells["r"].actor.got == ["x"]
+        assert got == ["x"]
         assert not sys_.process_one("r")
 
     def test_stop_dead_letters_late_mail(self):
         sys_ = InlineActorSystem()
-        ref = sys_.spawn(Recorder, name="r")
+        got = []
+        ref = sys_.spawn(Recorder, got, name="r")
         ref.tell("early")
         sys_.stop(ref)
         ref.tell("late")
         while sys_.pending():
             sys_.process_one(sys_.pending()[0])
-        assert sys_._cells["r"].actor.got == ["early"]
+        assert got == ["early"]
         assert [dl.message for dl in sys_.dead_letters] == ["late"]
 
     def test_actor_names_are_replay_stable(self):
@@ -94,15 +96,15 @@ class TestInlineSystem:
 class TestSimHub:
     def test_frames_queue_until_delivered(self):
         w = two_node_world()
-        w.spawn("b", Recorder, name="r")
+        got = []
+        w.spawn("b", Recorder, got, name="r")
         w.track("m1", "b/r")
         w.nodes["a"].ref("b/r").tell("m1")
         assert w.hub.in_flight() == [("a", "b", 1)]
-        recorder = w.systems["b"]._cells["r"].actor
-        assert recorder.got == []
+        assert got == []
         w.hub.deliver_next("a", "b")
         w.systems["b"].process_one("r")
-        assert recorder.got == ["m1"]
+        assert got == ["m1"]
 
     def test_drop_where_is_selective_and_counted(self):
         w = two_node_world()
@@ -229,6 +231,34 @@ class TestAudits:
         kinds = {hz.kind for hz in w.hazards}
         assert "sim-duplicate-delivery" in kinds
         assert {hz.kind for hz in bus.hazards} >= kinds
+
+    def test_actor_level_drop_is_counted_not_lost(self):
+        """Mail queued behind a stop is dead-lettered by the actor, not
+        the node: the ledger must still count the drop."""
+        w = two_node_world()
+        ref = w.spawn("b", Recorder, name="r")
+        w.systems["b"].stop(ref)
+        w.send("a", "b/r", "m", label="client")
+        w.apply("do client")
+        w.apply("deliver a>b")              # "m" queues behind the stop
+        assert w.systems["b"].pending() == ["r"]
+        drive(w)
+        assert [dl.message for dl in w.systems["b"].dead_letters] == ["m"]
+        entry = w.ledger["m"]
+        assert (entry.delivered, entry.dead) == (0, 1)
+        assert "sim-lost-message" not in {hz.kind for hz in w.hazards}
+
+    def test_node_level_drop_is_counted_once(self):
+        w = two_node_world()
+        w.send("a", "b/nobody", "m", label="client")
+        drive(w)
+        entry = w.ledger["m"]
+        assert (entry.delivered, entry.dead) == (0, 1)
+        # the node's why reaches the system's one dead-letter path
+        assert entry.whys == ["no such actor on b"]
+        assert [dl.why for dl in w.systems["b"].dead_letters] \
+            == ["no such actor on b"]
+        assert w.hazards == []
 
     def test_hazards_dedup_by_kind_and_subject(self):
         w = two_node_world()
