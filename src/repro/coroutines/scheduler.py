@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+from contextlib import suppress
 from collections import deque
 from typing import Any, Callable, Generator, Iterator, Optional
 
@@ -61,13 +62,11 @@ def pause() -> _Pause:
     return _PAUSE
 
 
-class _Park:
-    """Park the current task on a wait list (owned by a channel/event)."""
+class _Park(list):
+    """A wait list (owned by a channel/event) that is its own marker: a
+    task parks on it by yielding it."""
 
-    __slots__ = ("waitlist",)
-
-    def __init__(self, waitlist: list):
-        self.waitlist = waitlist
+    __slots__ = ()
 
 
 class _Wake:
@@ -75,7 +74,7 @@ class _Wake:
 
     __slots__ = ("waitlist", "count")
 
-    def __init__(self, waitlist: list, count: Optional[int] = None):
+    def __init__(self, waitlist: _Park, count: Optional[int] = None):
         self.waitlist = waitlist
         self.count = count   # None = wake all
 
@@ -103,13 +102,11 @@ class CoTask:
         self.error: Optional[BaseException] = None
         self.joiners: list["CoTask"] = []
         self.steps = 0
-        self._send_value: Any = None
         #: True once some joiner observed this task's error
         self.error_observed = False
         #: profiling only: when this task last entered the ready queue
         self.ready_at = 0.0
-        #: causal tracing only: the request context this task runs
-        #: under (captured at spawn, advanced one span per resume)
+        #: causal tracing only: request context, advanced per resume
         self.ctx: Any = None
 
     def join(self) -> Iterator[Any]:
@@ -124,6 +121,100 @@ class CoTask:
     def __repr__(self) -> str:
         state = "done" if self.done else "live"
         return f"<CoTask {self.name} {state}>"
+
+
+class _Observer:
+    """A scheduler's sinks, compiled into the two hook points of its
+    loop: :meth:`resume` and :meth:`finished`.  Built only when a sink
+    is set, so an uninstrumented loop tests one ``None`` per step."""
+
+    def __init__(self, sched: "CoScheduler") -> None:
+        self.sched, self.bus = sched, sched.monitors
+        self.metrics, self.prof, self.trc = (
+            sched.metrics, sched.profiler, sched.tracer)
+        self.last: Optional[CoTask] = None   # for context-switch counting
+        self.ready_names: tuple = ()
+
+    def resume(self, task: CoTask) -> Any:
+        """``task.gen.send(None)``, observed around the send; the marker
+        it yields is observed before the loop acts on it."""
+        m, prof, trc = self.metrics, self.prof, self.trc
+        if m is not None:
+            m.inc("steps")
+            if self.last is not None and self.last is not task:
+                m.inc("context_switches")
+            self.last = task
+            m.task_add(task.name, "steps", 1)
+        if self.bus is not None:
+            # runnable set at choice time: the stepped task + the queue
+            self.ready_names = (task.name,) + tuple(
+                t.name for t in self.sched.ready)
+        if prof is not None:
+            t0 = prof.now()
+            prof.inc("coro.resumes")
+            prof.observe_us("coro.ready_wait_us", t0 - task.ready_at)
+        tctx = task.ctx if trc is not None else None
+        if tctx is not None:
+            # resume under the task's context; the closed span becomes
+            # the parent of whatever this slice spawns or sends
+            r0 = trc.now()
+            trc.install(tctx)
+        try:
+            marker = task.gen.send(None)
+        finally:
+            if tctx is not None:
+                task.ctx = trc.hop(tctx, "coro-resume", task.name, r0,
+                                   trc.now())
+                trc.uninstall()
+            if prof is not None:
+                prof.observe_us("coro.resume_us", prof.now() - t0)
+        cls = marker.__class__
+        if cls is _Park:
+            self._count("parks", "coro.parks", 1)
+            self._feed(task, "park")
+        elif cls is _Join:
+            self._feed(task, f"join {marker.task.name}")
+        elif cls is _Pause or cls is _Wake or marker is None:
+            woken = marker.waitlist[:marker.count] if cls is _Wake else []
+            if woken:
+                self._count("wakes", "coro.wakes", len(woken))
+            if prof is not None:   # back in the ready queue
+                now = prof.now()
+                for t in (task, *woken):
+                    t.ready_at = now
+            self._feed(task, f"wake {len(woken)}" if cls is _Wake
+                       else "pause")
+        return marker   # an unknown one is reported by finished()
+
+    def finished(self, task: CoTask) -> None:
+        err = task.error
+        if self.metrics is not None:
+            self.metrics.inc("tasks_failed" if err is not None
+                             else "tasks_finished")
+        if self.prof is not None and task.joiners:
+            now = self.prof.now()
+            for j in task.joiners:
+                j.ready_at = now
+        self._feed(task, "return" if err is None
+                   else f"raise {type(err).__name__}")
+
+    def _count(self, metric: str, counter: str, n: int) -> None:
+        if self.metrics is not None:
+            self.metrics.inc(metric, n)
+        if self.prof is not None:
+            self.prof.inc(counter, n)
+
+    def _feed(self, task: Optional[CoTask], desc: str,
+              ready: Optional[tuple] = None, kind: str = "run",
+              **fields: Any) -> None:
+        if self.bus is not None:   # ``ready`` defaults to resume's snapshot
+            from ..core.trace import TraceEvent
+            name, ltid = ((task.name, task.ltid) if task is not None
+                          else ("?", -1))
+            self.bus.feed(TraceEvent(
+                step=self.sched.steps, task_tid=ltid, task_name=name,
+                kind=kind, effect_repr=desc, chosen_index=0, fanout=1,
+                task_ltid=ltid, **fields), ready or self.ready_names)
 
 
 class CoScheduler:
@@ -157,14 +248,13 @@ class CoScheduler:
         #: optional :class:`repro.obs.Profiler` — wall-clock resume
         #: latency and ready-queue residency (``metrics`` stays logical)
         self.profiler = profiler
-        #: optional :class:`repro.obs.causal.CausalTracer` — the
-        #: spawner's request context is captured per task and each
-        #: resume runs under it, recorded as a ``coro-resume`` span
-        #: that extends the task's causal chain
+        #: optional :class:`repro.obs.causal.CausalTracer` — each resume
+        #: runs under the context captured at spawn (``coro-resume`` span)
         self.tracer = tracer
-        self._last_stepped: Optional[CoTask] = None
-        #: task whose slice is currently executing (valid inside
-        #: ``_step``) — lets channels attribute taps to the runner
+        #: the sinks, fixed from here on, as one observer (None if unset)
+        sinks = (metrics, monitors, profiler, tracer)
+        self._obs = None if all(x is None for x in sinks) else _Observer(self)
+        #: the task whose slice is running (channel taps attribute to it)
         self.current: Optional[CoTask] = None
         self._chan_seq = 0
 
@@ -188,163 +278,82 @@ class CoScheduler:
         """Run until every task finishes.
 
         Raises :class:`CoDeadlock` if live tasks remain but all are
-        parked, and re-raises the first task exception at the end.
+        parked — chained from the first unobserved task failure, if
+        any — and re-raises the first such failure at the end.
         """
-        while self.ready:
-            if self.steps >= max_steps:
-                raise RuntimeError(f"exceeded {max_steps} scheduler steps")
-            task = self.ready.popleft()
-            self._step(task)
+        self._drive(None, max_steps)
+        failed = next((t for t in self.tasks
+                       if t.error is not None and not t.error_observed), None)
+        cause = failed.error if failed is not None else None
         leftover = [t for t in self.tasks if not t.done]
         if leftover:
             detail = "parked forever: " + ", ".join(t.name for t in leftover)
             if self.monitors is not None:
                 self.monitors.finish("deadlock", detail)
-            raise CoDeadlock(detail)
+            if failed is not None:
+                detail += f" (after {failed.name} failed: {cause!r})"
+            raise CoDeadlock(detail) from cause
         if self.monitors is not None:
-            failed = any(t.error is not None and not t.error_observed
-                         for t in self.tasks)
             self.monitors.finish("failed" if failed else "done")
-        for t in self.tasks:
-            if t.error is not None and not t.error_observed:
-                raise t.error
+        if cause is not None:
+            raise cause
 
     def run_until(self, predicate: Callable[[], bool],
                   max_steps: int = 1_000_000) -> bool:
         """Run until ``predicate()`` holds; False if tasks ran out first."""
-        while not predicate():
-            if not self.ready:
+        return self._drive(predicate, max_steps)
+
+    def _drive(self, until: Optional[Callable[[], bool]],
+               max_steps: int) -> bool:
+        """The one dispatch loop: step ready tasks in FIFO order until
+        ``until()`` holds (True) or the ready queue drains (False)."""
+        ready = self.ready
+        popleft, append = ready.popleft, ready.append
+        obs = self._obs
+        while True:
+            if until is not None and until():
+                return True
+            if not ready:
                 return False
             if self.steps >= max_steps:
                 raise RuntimeError(f"exceeded {max_steps} scheduler steps")
-            self._step(self.ready.popleft())
-        return True
-
-    # ------------------------------------------------------------------
-    def _step(self, task: CoTask) -> None:
-        self.steps += 1
-        task.steps += 1
-        self.current = task
-        m = self.metrics
-        if m is not None:
-            m.inc("steps")
-            if self._last_stepped is not None and self._last_stepped is not task:
-                m.inc("context_switches")
-            self._last_stepped = task
-            m.task_add(task.name, "steps", 1)
-        ready_names: tuple = ()
-        if self.monitors is not None:
-            # runnable set at choice time: the stepped task + the queue
-            ready_names = (task.name,) + tuple(t.name for t in self.ready)
-        prof = self.profiler
-        t0 = 0.0
-        if prof is not None:
-            t0 = prof.now()
-            prof.inc("coro.resumes")
-            prof.observe_us("coro.ready_wait_us", t0 - task.ready_at)
-        value, task._send_value = task._send_value, None
-        trc = self.tracer
-        tctx = task.ctx if trc is not None else None
-        r0 = 0.0
-        if tctx is not None:
-            # resume under the task's context; the closed span becomes
-            # the parent of whatever this slice spawns or sends
-            r0 = trc.now()
-            trc.install(tctx)
-        try:
-            marker = task.gen.send(value)
-        except StopIteration as stop:
-            if tctx is not None:
-                task.ctx = trc.hop(tctx, "coro-resume", task.name,
-                                   r0, trc.now())
-                trc.uninstall()
-            self._finish(task, result=stop.value)
-            if prof is not None:
-                prof.observe_us("coro.resume_us", prof.now() - t0)
-            self._feed_monitors(task, "return", ready_names)
-            return
-        except BaseException as exc:  # noqa: BLE001 - task code may raise
-            if tctx is not None:
-                task.ctx = trc.hop(tctx, "coro-resume", task.name,
-                                   r0, trc.now())
-                trc.uninstall()
-            self._finish(task, error=exc)
-            if prof is not None:
-                prof.observe_us("coro.resume_us", prof.now() - t0)
-            self._feed_monitors(task, f"raise {type(exc).__name__}",
-                                ready_names)
-            return
-        if tctx is not None:
-            task.ctx = trc.hop(tctx, "coro-resume", task.name,
-                               r0, trc.now())
-            trc.uninstall()
-        if prof is not None:
-            prof.observe_us("coro.resume_us", prof.now() - t0)
-
-        if marker is None or isinstance(marker, _Pause):
-            self.ready.append(task)
-            desc = "pause"
-            if prof is not None:
-                task.ready_at = prof.now()
-        elif isinstance(marker, _Park):
-            marker.waitlist.append(task)
-            desc = "park"
-            if m is not None:
-                m.inc("parks")
-            if prof is not None:
-                prof.inc("coro.parks")
-        elif isinstance(marker, _Wake):
-            woken = (list(marker.waitlist) if marker.count is None
-                     else marker.waitlist[:marker.count])
-            del marker.waitlist[:len(woken)]
-            self.ready.extend(woken)
-            self.ready.append(task)
-            desc = f"wake {len(woken)}"
-            if m is not None and woken:
-                m.inc("wakes", len(woken))
-            if prof is not None:
-                now = prof.now()
-                task.ready_at = now
-                for w in woken:
-                    w.ready_at = now
-                if woken:
-                    prof.inc("coro.wakes", len(woken))
-        elif isinstance(marker, _Join):
-            if marker.task.done:
-                self.ready.append(task)
-                if prof is not None:
-                    task.ready_at = prof.now()
-            else:
+            task = popleft()
+            self.steps += 1
+            task.steps += 1
+            self.current = task
+            try:
+                marker = (task.gen.send(None) if obs is None
+                          else obs.resume(task))
+            except StopIteration as stop:
+                self._finish(task, result=stop.value)
+                continue
+            except BaseException as exc:  # noqa: BLE001 - task code may raise
+                self._finish(task, error=exc)
+                continue
+            cls = marker.__class__
+            if cls is _Pause or marker is None:
+                append(task)
+            elif cls is _Park:
+                marker.append(task)
+            elif cls is _Wake:
+                waitlist, count = marker.waitlist, marker.count
+                woken = waitlist[:count]
+                del waitlist[:count]
+                ready.extend(woken)
+                append(task)
+            elif cls is _Join:   # join() yields it only while the task is live
                 marker.task.joiners.append(task)
-            desc = f"join {marker.task.name}"
-        else:
-            self._finish(task, error=TypeError(
-                f"{task.name} yielded unknown marker {marker!r}"))
-            desc = "raise TypeError"
-        self._feed_monitors(task, desc, ready_names)
-
-    def _feed_monitors(self, task: CoTask, desc: str,
-                       ready_names: tuple) -> None:
-        if self.monitors is None:
-            return
-        from ..core.trace import TraceEvent
-        self.monitors.feed(TraceEvent(
-            step=self.steps, task_tid=task.ltid, task_name=task.name,
-            kind="run", effect_repr=desc, chosen_index=0, fanout=1,
-            task_ltid=task.ltid), ready_names)
+            else:   # fail the task; its finally blocks run now, not at GC
+                with suppress(RuntimeError):   # a finally block yielded
+                    task.gen.close()
+                self._finish(task, error=TypeError(
+                    f"{task.name} yielded unknown marker {marker!r}"))
 
     def _finish(self, task: CoTask, result: Any = None,
                 error: Optional[BaseException] = None) -> None:
-        task.done = True
-        task.result = result
-        task.error = error
-        if self.metrics is not None:
-            self.metrics.inc("tasks_failed" if error is not None
-                             else "tasks_finished")
-        if self.profiler is not None and task.joiners:
-            now = self.profiler.now()
-            for j in task.joiners:
-                j.ready_at = now
+        task.done, task.result, task.error = True, result, error
+        if self._obs is not None:
+            self._obs.finished(task)
         self.ready.extend(task.joiners)
         task.joiners = []
 
@@ -373,75 +382,63 @@ class CoChannel:
         self.sched = sched
         self.name = name or f"chan-{next(_chan_ids)}"
         self._items: deque = deque()
-        #: per-item ``(seq, sender-name)`` metadata, kept only when
-        #: tapped — lets ``get`` attribute the delivery to its send
+        #: per-item ``(seq, sender-name)`` of a tapped channel's sends
         self._meta: deque = deque()
-        self._getters: list[CoTask] = []
-        self._putters: list[CoTask] = []
+        # wakes trim a wait list in place, so its markers are built once
+        self._getters, self._putters = _Park(), _Park()
+        self._wake_get = _Wake(self._getters)
+        self._wake_put = _Wake(self._putters)
+        #: sends and deliveries feed the scheduler's monitor bus
+        self._tapped = sched is not None and sched.monitors is not None
         self.closed = False
 
-    # -- monitor tap ---------------------------------------------------
-    def _tapped(self) -> bool:
-        return self.sched is not None and self.sched.monitors is not None
-
-    def _tap(self, point: str, item: Any, seq: Optional[int],
+    def _tap(self, item: Any, seq: int = 0,
              sender: Optional[str] = None) -> None:
-        from ..core.trace import TraceEvent
-        s = self.sched
-        task = s.current
-        tname = task.name if task is not None else "?"
-        ltid = task.ltid if task is not None else -1
-        ready = (tname,) + tuple(t.name for t in s.ready)
-        if point == "send":
-            ev = TraceEvent(
-                step=s.steps, task_tid=ltid, task_name=tname,
-                kind="run", effect_repr=f"send {item!r} to {self.name}",
-                chosen_index=0, fanout=1, task_ltid=ltid,
-                obj_name=self.name, msg_seq=seq)
+        """Feed the bus a send event (no ``sender``) or a deliver one."""
+        s, task = self.sched, self.sched.current
+        ready = (task.name if task is not None else "?",) + tuple(
+            t.name for t in s.ready)
+        if sender is None:
+            s._chan_seq += 1
+            seq = s._chan_seq
+            self._meta.append((seq, ready[0]))
+            s._obs._feed(task, f"send {item!r} to {self.name}", ready,
+                         obj_name=self.name, msg_seq=seq)
         else:
-            ev = TraceEvent(
-                step=s.steps, task_tid=ltid, task_name=tname,
-                kind="deliver", effect_repr=f"recv from {self.name}",
-                chosen_index=0, fanout=1, task_ltid=ltid,
+            s._obs._feed(
+                task, f"recv from {self.name}", ready, kind="deliver",
                 payload_repr=f"<Envelope #{seq} {item!r} from {sender}>",
                 recv_seq=seq, recv_mbox=self.name)
-        s.monitors.feed(ev, ready)
 
     def put(self, item: Any) -> Iterator[Any]:
         while len(self._items) >= self.capacity and not self.closed:
-            yield _Park(self._putters)
+            yield self._putters
         if self.closed:
             raise ChannelClosed("put on closed channel")
         self._items.append(item)
-        if self._tapped():
-            self.sched._chan_seq += 1
-            seq = self.sched._chan_seq
-            cur = self.sched.current
-            self._meta.append((seq, cur.name if cur is not None else "?"))
-            self._tap("send", item, seq)
+        if self._tapped:
+            self._tap(item)
         if self._getters:
-            yield _Wake(self._getters)
+            yield self._wake_get
 
     def get(self) -> Iterator[Any]:
         while not self._items and not self.closed:
-            yield _Park(self._getters)
+            yield self._getters
         if not self._items:
             raise ChannelClosed("get on closed drained channel")
         item = self._items.popleft()
-        if self._meta:
-            seq, sender = self._meta.popleft()
-            if self._tapped():
-                self._tap("deliver", item, seq, sender)
+        if self._meta:   # tapped: attribute the delivery to its send
+            self._tap(item, *self._meta.popleft())
         if self._putters:
-            yield _Wake(self._putters)
+            yield self._wake_put
         return item
 
     def close(self) -> Iterator[Any]:
         self.closed = True
         if self._getters:
-            yield _Wake(self._getters)
+            yield self._wake_get
         if self._putters:
-            yield _Wake(self._putters)
+            yield self._wake_put
 
     def __len__(self) -> int:
         return len(self._items)
@@ -452,16 +449,17 @@ class CoEvent:
 
     def __init__(self) -> None:
         self._set = False
-        self._waiters: list[CoTask] = []
+        self._waiters = _Park()
+        self._wake = _Wake(self._waiters)
 
     def wait(self) -> Iterator[Any]:
         while not self._set:
-            yield _Park(self._waiters)
+            yield self._waiters
 
     def set(self) -> Iterator[Any]:
         self._set = True
         if self._waiters:
-            yield _Wake(self._waiters)
+            yield self._wake
 
     @property
     def is_set(self) -> bool:
@@ -475,14 +473,15 @@ class CoSemaphore:
         if permits < 0:
             raise ValueError("permits must be >= 0")
         self.permits = permits
-        self._waiters: list[CoTask] = []
+        self._waiters = _Park()
+        self._wake = _Wake(self._waiters, 1)
 
     def acquire(self) -> Iterator[Any]:
         while self.permits == 0:
-            yield _Park(self._waiters)
+            yield self._waiters
         self.permits -= 1
 
     def release(self) -> Iterator[Any]:
         self.permits += 1
         if self._waiters:
-            yield _Wake(self._waiters, 1)
+            yield self._wake

@@ -160,17 +160,19 @@ class TestSymmetric:
 
 class TestCoScheduler:
     def test_round_robin_interleaving(self):
-        out = []
+        for turn in (pause, lambda: None):   # a bare yield is a pause
+            out = []
 
-        def worker(tag):
-            for _ in range(2):
-                out.append(tag)
-                yield pause()
-        sched = CoScheduler()
-        sched.spawn(worker, "a")
-        sched.spawn(worker, "b")
-        sched.run()
-        assert out == ["a", "b", "a", "b"]
+            def worker(tag):
+                for _ in range(2):
+                    out.append(tag)
+                    yield turn()
+            sched = CoScheduler()
+            sched.spawn(worker, "a")
+            sched.spawn(worker, "b")
+            sched.run()
+            assert out == ["a", "b", "a", "b"]
+            assert sched.steps == 6
 
     def test_atomicity_between_yields(self):
         """No preemption between yields — the model's core guarantee."""
@@ -194,19 +196,24 @@ class TestCoScheduler:
         assert set(torn) == {0}
 
     def test_join_returns_result(self):
-        def worker():
-            yield pause()
-            return "worker-done"
+        # a worker that pauses is joined live; one that does not has
+        # finished before the join, which then resumes without parking
+        for pauses, joiner_steps in ((True, 2), (False, 1)):
+            def worker():
+                if pauses:
+                    yield pause()
+                return "worker-done"
 
-        results = []
+            results = []
 
-        def joiner(task):
-            results.append((yield from task.join()))
-        sched = CoScheduler()
-        t = sched.spawn(worker)
-        sched.spawn(joiner, t)
-        sched.run()
-        assert results == ["worker-done"]
+            def joiner(task):
+                results.append((yield from task.join()))
+            sched = CoScheduler()
+            t = sched.spawn(worker)
+            j = sched.spawn(joiner, t)
+            sched.run()
+            assert results == ["worker-done"]
+            assert j.steps == joiner_steps
 
     def test_join_propagates_error(self):
         def bad():
@@ -233,8 +240,59 @@ class TestCoScheduler:
             yield from chan.get()
         sched = CoScheduler()
         sched.spawn(starved)
-        with pytest.raises(CoDeadlock):
+        with pytest.raises(CoDeadlock) as info:
             sched.run()
+        assert info.value.__cause__ is None
+
+    def test_deadlock_chains_the_failure_that_caused_it(self):
+        chan = CoChannel()
+
+        def prod():
+            yield pause()
+            raise ValueError("boom")
+
+        def cons():
+            yield from chan.get()
+        sched = CoScheduler()
+        sched.spawn(prod, name="prod")
+        sched.spawn(cons, name="cons")
+        with pytest.raises(CoDeadlock,
+                           match="parked forever: cons .*prod failed") as info:
+            sched.run()
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == "boom"
+
+    @pytest.mark.parametrize("cleanup_yields", [False, True])
+    def test_unknown_marker_closes_the_generator(self, cleanup_yields):
+        cleaned = []
+
+        def odd():
+            try:
+                yield "not-a-marker"
+            finally:
+                cleaned.append("finally")
+                if cleanup_yields:
+                    yield pause()   # close() raises RuntimeError here
+        sched = CoScheduler()
+        t = sched.spawn(odd, name="odd")
+        with pytest.raises(TypeError, match="odd yielded unknown marker"):
+            sched.run()
+        assert cleaned == ["finally"]
+        assert t.done and isinstance(t.error, TypeError)
+
+    @pytest.mark.parametrize("drive", ["run", "run_until"])
+    def test_max_steps_bounds_the_loop(self, drive):
+        def spinner():
+            while True:
+                yield pause()
+        sched = CoScheduler()
+        sched.spawn(spinner)
+        with pytest.raises(RuntimeError, match="exceeded 10 scheduler steps"):
+            if drive == "run":
+                sched.run(max_steps=10)
+            else:
+                sched.run_until(lambda: False, max_steps=10)
+        assert sched.steps == 10
 
     def test_unjoined_error_reraised_at_end(self):
         def bad():
@@ -246,16 +304,84 @@ class TestCoScheduler:
             sched.run()
 
     def test_run_until_predicate(self):
-        state = {"n": 0}
+        # False once the ready queue drains before the predicate holds
+        for ticks, reached in ((None, True), (3, False)):
+            state = {"n": 0}
 
-        def ticker():
-            while True:
-                state["n"] += 1
-                yield pause()
-        sched = CoScheduler()
-        sched.spawn(ticker)
-        assert sched.run_until(lambda: state["n"] >= 5)
-        assert state["n"] == 5
+            def ticker():
+                while ticks is None or state["n"] < ticks:
+                    state["n"] += 1
+                    yield pause()
+            sched = CoScheduler()
+            sched.spawn(ticker)
+            assert sched.run_until(lambda: state["n"] >= 5) is reached
+            assert state["n"] == (5 if reached else 3)
+
+    def test_sinks_do_not_change_scheduling(self):
+        from repro.obs import KernelMetrics, MonitorBus, Profiler
+        from repro.obs.causal import CausalTracer
+
+        def run(**sinks):
+            sched = CoScheduler(**sinks)
+            out = _mixed_program(sched)
+            sched.run()
+            return out, sched.steps, [(t.name, t.steps, t.result)
+                                      for t in sched.tasks]
+        plain = run()
+        metrics, bus = KernelMetrics(), MonitorBus()
+        observed = run(metrics=metrics, monitors=bus, profiler=Profiler(),
+                       tracer=CausalTracer())
+        assert observed == plain
+        assert metrics.snapshot()["counters"]["steps"] == plain[1]
+        assert bus.events_seen > plain[1]   # steps plus channel taps
+
+
+def _mixed_program(sched):
+    """Channel put/get/close, a semaphore, an event, joins, bare yields
+    and pauses on one scheduler; returns the output log it fills."""
+    out = []
+    chan = CoChannel(capacity=1, sched=sched, name="jobs")
+    sem, go = CoSemaphore(1), CoEvent()
+
+    def producer():
+        for i in range(4):
+            yield from chan.put(i)
+            out.append(("put", i))
+        yield from chan.close()
+        return "produced"
+
+    def consumer(tag):
+        yield from go.wait()
+        got = []
+        while True:
+            try:
+                item = yield from chan.get()
+            except ChannelClosed:
+                return got
+            yield from sem.acquire()
+            out.append((tag, item))
+            yield                      # bare yield holding the semaphore
+            yield from sem.release()
+            got.append(item)
+
+    def starter():
+        yield pause()
+        out.append("go")
+        yield from go.set()
+
+    def joiner(tasks):
+        results = []
+        for t in tasks:
+            results.append((yield from t.join()))
+        out.append(("joined", results))
+        return results
+
+    tasks = [sched.spawn(producer, name="prod"),
+             sched.spawn(consumer, "c1", name="c1"),
+             sched.spawn(consumer, "c2", name="c2")]
+    sched.spawn(starter, name="starter")
+    sched.spawn(joiner, tasks, name="joiner")
+    return out
 
 
 class TestCoChannelAndFriends:
