@@ -260,13 +260,13 @@ def test_bench_protocol_overhead(benchmark):
     """Online protocol conformance must stay within 10% of monitors-off.
 
     Interleaved A/B loopback pingpong again, but the instrumented arm
-    attaches a :class:`ProtocolMonitor` to both nodes.  The monitor's
-    ``wants_message_kinds`` flag makes the nodes classify every payload
-    and stamp the kind token into their cluster events — the full
-    conformance tax, not just the automaton step.  The echoed payloads
-    are ints, so the ``INT*`` session type conforms forever and the
-    automaton advances on every single delivery (the worst case: no
-    early alphabet filtering).  The gate is the ISSUE-9 acceptance bar:
+    attaches a :class:`ProtocolMonitor` to both nodes.  Each node finds
+    it by its ``cluster_entries`` rows and queues every message for its
+    conformance pump, which classifies each payload and steps the
+    automaton — the full conformance tax, not just the automaton step.
+    The echoed payloads are ints, so the ``INT*`` session type conforms
+    forever and the automaton advances on every single delivery (the
+    worst case: no early alphabet filtering).  The gate is the ISSUE-9 acceptance bar:
     monitors-on throughput stays at or above 0.90x monitors-off.
     """
     import threading

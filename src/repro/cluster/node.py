@@ -41,7 +41,7 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Iterable, Optional
 
 from ..actors import (Actor, ActorRef, ActorRuntime, ActorSystem,
                       SupervisionDirective)
@@ -50,6 +50,8 @@ from .delivery import CreditGate, DedupTable, Outbox, RetryPolicy
 from .message import (ACK, CREDIT, HEARTBEAT, RELIABLE_KINDS, REPLY, SIGNAL,
                       SKIP, SPAWN, STATUS, TELEMETRY, TELL, WATCH, Envelope,
                       PickleSerializer, Serializer, make_path, split_path)
+from .observe import ClusterEvent
+
 __all__ = ["ClusterConfig", "ClusterNode", "RemoteRef", "ActorSignal",
            "PeerState", "register_actor_type", "actor_type",
            "actor_type_names"]
@@ -256,6 +258,194 @@ def _flow_id(origin: str, dest: str, seq: int) -> int:
     return zlib.crc32(f"{origin}|{dest}|{seq}".encode()) & 0x7FFFFFFF
 
 
+_BULK_KINDS = {"send": "cluster-send", "deliver": "cluster-recv",
+               "local": "cluster-local"}
+
+
+class _Observer:
+    """A node's observing sinks compiled into one object.
+
+    The sinks are the profiler counters, the trace log
+    (``trace_events``), the monitor bus, the bus's protocol rows and
+    the flight recorder.  The node builds one only when a sink is
+    attached, so each per-message site tests one ``None`` and makes one
+    call.  The observer owns the three rules those sites share:
+
+    * sampling — with the flight recorder as the *only* event sink,
+      bulk send/recv/local events are kept 1-in-``flight_sample`` on
+      the wire seq, which both link ends agree on, so a recorded recv
+      always has its recorded send; rare events are always kept;
+    * the point filter — conformance sees only the points (send or
+      deliver) some protocol row watches; a zero-serialization local
+      delivery is both the send and the deliver of its message;
+    * where conformance runs — without a trace log, observations queue
+      for the node's pump thread, off the critical path; with one,
+      they are stepped inline right after their event is logged, so a
+      violation carries that event's step.
+    """
+
+    def __init__(self, node: "ClusterNode"):
+        tele = node.telemetry
+        self.node, self.name, self.wall = node, node.name, node.wall
+        self.prof = node.profiler
+        self.rec = tele.recorder if tele is not None else None
+        self.log, self.bus = node.trace_events, node.monitors
+        self.rows = node._proto_rows
+        self.points = {row[0] for row in self.rows} | \
+            ({"local"} if self.rows else set())
+        self.pump = node._proto_q if self.rows and self.log is None \
+            else None
+        # bulk events become ClusterEvents for the trace log, and for
+        # the bus unless its only bulk consumer, conformance, is pumped
+        self.full = self.log is not None or \
+            (self.bus is not None and self.pump is None)
+        self.events = self.full or self.rec is not None
+        # per point: does any sink consume its bulk event or observation?
+        self.sends, self.delivers, self.locals = (
+            self.events or p in self.points
+            for p in ("send", "deliver", "local"))
+        self.mask = 0
+        if self.rec is not None and self.log is None and self.bus is None:
+            sample = max(1, node.config.flight_sample)
+            self.mask = (1 << (sample.bit_length() - 1)) - 1
+        self.n_local = 0            # racy is fine: it only samples
+        self.delivered = 0
+        self.flow_pre: dict[tuple[str, str], bytes] = {}
+
+    # -- the three per-message sites -----------------------------------
+    def local(self, actor: str, message: Any) -> None:
+        if self.prof is not None:
+            self.prof.inc("cluster.local_fastpath")
+        self.n_local += 1
+        if self.locals and not (self.n_local & self.mask):
+            self._bulk("local", actor, self.name, message, None, None,
+                       None, None)
+
+    def send(self, target: str, dest: str, seq: int, payload: Any,
+             ctx: Optional[tuple]) -> None:
+        if self.prof is not None:
+            self.prof.inc("cluster.sent")
+        if self.sends and not (seq & self.mask):
+            # target is always "<dest>/<actor>" here, so slice off the
+            # node prefix instead of re-splitting the path
+            self._bulk("send", target[len(dest) + 1:], dest, payload,
+                       self.name, dest, seq, ctx)
+
+    def deliver(self, ref: ActorRef, env: Envelope) -> None:
+        if self.delivers and not (env.seq & self.mask):
+            self._bulk("deliver", ref.name, env.origin, env.payload,
+                       env.origin, self.name, env.seq, env.ctx)
+        prof = self.prof
+        if prof is not None:
+            prof.inc("cluster.delivered")
+            self.delivered += 1
+            if self.delivered & 0x1F == 0:   # sample: depth takes a lock
+                prof.gauge_max("cluster.mailbox_depth_max", ref.pending)
+
+    def _bulk(self, point: str, actor: str, peer: str, payload: Any,
+              origin: Optional[str], dest: Optional[str],
+              seq: Optional[int], ctx: Optional[tuple]) -> None:
+        step = None
+        if self.events:
+            flow = None if seq is None else self.flow(origin, dest, seq)
+            step = self._record(
+                _BULK_KINDS[point], actor, peer,
+                flow if point == "send" else None,
+                flow if point == "deliver" else None,
+                None if ctx is None else {"request_id": ctx[0]},
+                self.full)
+        if point in self.points:
+            ob = (point, actor, payload, origin, dest, seq)
+            if self.pump is not None:
+                self.pump.append(ob)     # GIL-atomic; the pump does the rest
+            else:
+                self.conform((ob,), step)
+
+    # -- rare events -------------------------------------------------------
+    def event(self, kind: str, actor: str, peer: str,
+              extra: Optional[dict], count: Optional[str]) -> None:
+        if count is not None and self.prof is not None:
+            self.prof.inc(count)
+        self._record(kind, actor, peer, None, None, extra,
+                     self.log is not None or self.bus is not None)
+
+    def _record(self, kind: str, actor: str, peer: str,
+                msg_seq: Optional[int], recv_seq: Optional[int],
+                extra: Optional[dict], full: bool) -> Optional[int]:
+        """Feed one event to the flight recorder, and with ``full`` to
+        the trace log and the bus; returns the logged event's step."""
+        rec = self.rec
+        if rec is None and not full:
+            return None
+        ts = self.wall()
+        if rec is not None:
+            # inlined FlightRecorder.record: no lock, since
+            # deque.append with maxlen is GIL-atomic
+            rec._n += 1
+            rec._dq.append((kind, actor, peer, msg_seq, recv_seq, ts, extra))
+        if not full:
+            return None
+        node = self.node
+        with node._trace_lock:
+            node._step += 1
+            event = ClusterEvent(kind, self.name, actor, peer, node._step,
+                                 ts, msg_seq, recv_seq, extra)
+            if self.log is not None:
+                self.log.append(event)
+        if self.bus is not None:
+            try:
+                self.bus.feed(event)
+            except Exception:
+                node._sink_error()
+        return event.step
+
+    # -- protocol conformance ------------------------------------------
+    def conform(self, observations: Iterable[tuple],
+                step: Optional[int] = None) -> None:
+        """Step the protocol automata over ``(point, where, payload,
+        origin, dest, wire_seq)`` observations, in order, and publish
+        each violation on the bus.  The pump passes what it drained; a
+        node with a trace log passes one observation inline, with the
+        step of the event it just logged."""
+        rows, kind_of = self.rows, message_kind
+        for point, where, payload, origin, dest, seq in observations:
+            try:
+                token = kind_of(payload)
+                for at, watch, alphabet, strict, advance, flag in rows:
+                    if at != point and point != "local":
+                        continue
+                    if watch is not None and where not in watch:
+                        continue
+                    if token is not None and token in alphabet:
+                        if advance(token):
+                            continue
+                        oob = False
+                    elif strict and token is not None:
+                        oob = True
+                    else:
+                        continue
+                    # flow ids dedup a violation seen from both link
+                    # ends; only violations (rare) pay for one
+                    hz = flag(where, token, self.name,
+                              self.node._step if step is None else step,
+                              None if seq is None
+                              else self.flow(origin, dest, seq), oob)
+                    if hz is not None:
+                        self.bus.publish(hz)
+            except Exception:           # a bad payload must never kill
+                self.node._sink_error()  # conformance checking
+
+    def flow(self, origin: str, dest: str, seq: int) -> int:
+        """:func:`_flow_id` with the ``"origin|dest|"`` prefix bytes
+        cached per pair: the same crc32 over the same bytes, minus the
+        f-string build and encode on every message."""
+        pre = self.flow_pre.get((origin, dest))
+        if pre is None:
+            pre = self.flow_pre[(origin, dest)] = \
+                f"{origin}|{dest}|".encode()
+        return zlib.crc32(pre + b"%d" % seq) & 0x7FFFFFFF
+
+
 # ===========================================================================
 # the node
 # ===========================================================================
@@ -345,67 +535,36 @@ class ClusterNode:
         self._peers: dict[str, PeerState] = {}
         self._replies: dict[tuple[str, int], _Waiter] = {}
 
-        self._delivered = 0
-
         # observability
         self.trace_events: list = [] if trace else None
         self._trace_lock = threading.Lock()
         self._step = 0
         #: attached TelemetryAgent (see repro.obs.telemetry), or None
         self.telemetry: Optional[Any] = None
-        # single cached flag for the event hot-path gates: True when any
-        # sink (trace log, monitor bus, flight recorder) wants events
-        self._evt_on = trace or monitors is not None
-        # protocol conformance needs message *kinds* on cluster events
-        # (send/recv/local), which the default event path never stamps —
-        # pay for classification only when a detector asks for it
-        self._proto_on = monitors is not None and any(
-            getattr(d, "wants_message_kinds", False)
-            for d in getattr(monitors, "detectors", ()))
-        # conformance fast path: when no trace log consumes the stamped
-        # bulk events, protocol observations go straight into the
-        # automata via cluster_tap — no ClusterEvent, no bus.feed, no
-        # KernelView — and points no spec watches skip classification
-        # entirely.  Violations (rare) come back as hazards and are
-        # published on the bus, so dedup and on_hazard behave exactly
-        # as on the fed path.
-        entries, points = [], set()
-        fast = self._proto_on and not trace
-        if fast:
-            for d in monitors.detectors:
-                if getattr(d, "wants_message_kinds", False):
-                    if getattr(d, "cluster_tap", None) is None:
-                        fast = False    # kind-wanting detector without
-                        break           # a tap still needs fed events
-                    points.update(d.cluster_points())
-                    for row in d.cluster_entries():
-                        entries.append(row[:-1] + (d, row[-1]))
-        self._proto_entries = tuple(entries)
-        self._proto_fast = fast and bool(entries)
-        self._proto_want_send = "send" in points
-        self._proto_want_deliver = "deliver" in points
+        #: undecodable frames and failed sinks, counted with or without
+        #: a profiler (reported by ``status()``)
+        self._decode_errors = 0
+        self._sink_errors = 0
+        # protocol monitors are the detectors with conformance rows;
+        # without a trace log their observations go to a pump thread
+        rows: list = []
+        for det in getattr(monitors, "detectors", ()):
+            if hasattr(det, "cluster_entries"):
+                rows.extend(det.cluster_entries())
+        self._proto_rows = tuple(rows)
         self._proto_q: deque = deque()
         self._proto_wake = threading.Event()
-        self._proto_stop = False
+        self._proto_stop = self._proto_busy = False
         self._proto_thread: Optional[threading.Thread] = None
-        if self._proto_fast:
+        if monitors is not None and \
+                getattr(monitors, "on_hazard", None) is None:
+            monitors.on_hazard = self._on_hazard
+        self._observe()
+        if rows and not trace:
             self._proto_thread = threading.Thread(
                 target=self._proto_pump, name=f"{name}.conformance",
                 daemon=True)
             self._proto_thread.start()
-        if monitors is not None and \
-                getattr(monitors, "on_hazard", None) is None:
-            monitors.on_hazard = self._on_hazard
-        # bulk-event sampling mask: seq & mask == 0 records.  0 (record
-        # everything) whenever tracing or monitors are attached; set to
-        # flight_sample-1 by attach_telemetry when the flight recorder
-        # is the only sink.  Rare events (park/stage/suspect/down/
-        # failure/...) bypass the mask and are always recorded.
-        self._evt_mask = 0
-        self._local_n = 0       # racy sample counter for local sends
-        # per-(origin, dest) encoded "origin|dest|" prefixes so hot-path
-        # flow ids skip the f-string + encode (see _fast_flow)
-        self._flow_pre: Dict[Tuple[str, str], bytes] = {}
 
         self._handlers = {
             TELL: self._handle_tell, ACK: self._handle_ack,
@@ -540,6 +699,8 @@ class ClusterNode:
             "unacked": unacked,
             "dead_letters": len(self.system.dead_letters),
             "staged": staged,
+            "decode_errors": self._decode_errors,
+            "sink_errors": self._sink_errors,
         }
 
     # ------------------------------------------------------------------
@@ -553,14 +714,29 @@ class ClusterNode:
         agent.node = self
         agent.recorder.node = self.name
         self.telemetry = agent
-        self._evt_on = True
-        if self.trace_events is None and self.monitors is None:
-            # recorder is the only sink: sample the bulk send/recv/local
-            # events 1-in-flight_sample — even ~1µs of always-on work
-            # per event is a measurable tax on the loopback hot chain
-            sample = max(1, self.config.flight_sample)
-            self._evt_mask = (1 << (sample.bit_length() - 1)) - 1
+        self._observe()
         return agent
+
+    def _observe(self) -> None:
+        """(Re)compile the observing sinks; None when none is attached."""
+        sinks = (self.profiler, self.trace_events, self.monitors,
+                 self.telemetry)
+        self._obs = None if all(s is None for s in sinks) \
+            else _Observer(self)
+
+    def _sink_error(self, counter: Optional[str] = None) -> None:
+        self._sink_errors += 1
+        if counter is not None and self.profiler is not None:
+            self.profiler.inc(counter)
+
+    def _telemetry(self, hook: str, *args: Any, **kwargs: Any) -> None:
+        """Call one agent hook; its failures never reach the caller."""
+        tele = self.telemetry
+        if tele is not None:
+            try:
+                getattr(tele, hook)(*args, **kwargs)
+            except Exception:
+                self._sink_error("cluster.telemetry_errors")
 
     def _send_telemetry(self, peer: str, frame: dict) -> None:
         """Ship one frame, fire-and-forget (loss-tolerant by format)."""
@@ -569,25 +745,11 @@ class ClusterNode:
             self.profiler.inc("cluster.telemetry_out")
 
     def _handle_telemetry(self, env: Envelope) -> None:
-        tele = self.telemetry
-        if tele is None:
-            return
-        try:
-            tele.on_frame(env.origin, env.payload)
-        except Exception:
-            if self.profiler is not None:
-                self.profiler.inc("cluster.telemetry_errors")
+        self._telemetry("on_frame", env.origin, env.payload)
 
     def _incident(self, kind: str, detail: Optional[dict] = None) -> None:
         """Report an incident to the agent (never into the caller)."""
-        tele = self.telemetry
-        if tele is None:
-            return
-        try:
-            tele.incident(kind, detail)
-        except Exception:
-            if self.profiler is not None:
-                self.profiler.inc("cluster.telemetry_errors")
+        self._telemetry("incident", kind, detail)
 
     def _on_hazard(self, hz: Any) -> None:
         """MonitorBus ``on_hazard`` hook: an error-severity protocol
@@ -606,70 +768,24 @@ class ClusterNode:
         return self._actors.get(actor)
 
     def _proto_pump(self) -> None:
-        """Drain queued bulk-message observations into the automata.
-
-        The hot path pays one GIL-atomic ``deque.append`` of a raw
-        ``(point, where, payload, origin, dest, wire_seq)`` tuple — the
-        flight-recorder trick — and this daemon thread classifies the
-        payload and steps the machines off the critical path.  Messages
-        stay in node-local order, which is exactly the order the
-        synchronous fed path would observe; violations surface within
-        the ~20ms idle poll (``drain()`` flushes explicitly).
-
-        The loop body is deliberately flat: on a single-core host every
-        microsecond spent here competes with the transport pump for the
-        GIL, so classification is one cached dict probe, a conforming
-        advance is one more, and everything else lives in locals."""
-        q = self._proto_q
-        pop = q.popleft
-        wake = self._proto_wake
-        entries = self._proto_entries
-        kind_of = message_kind
+        """Conformance off the critical path, for a node without a trace
+        log: the hot path pays one GIL-atomic ``deque.append`` per
+        observation and this daemon thread hands each drained batch to
+        :meth:`_Observer.conform`, in node-local order.  Violations
+        surface within the ~20ms idle poll (``drain()`` flushes)."""
+        q, wake = self._proto_q, self._proto_wake
         while True:
-            try:
-                point, where, payload, origin, dest, wire_seq = pop()
-            except IndexError:
+            if not q:
                 if self._proto_stop:
                     return
                 wake.wait(0.02)
                 wake.clear()
                 continue
-            try:
-                token = kind_of(payload)
-                for at, watch, alphabet, strict, advance, mon, i \
-                        in entries:
-                    # a zero-serialization local delivery is both the
-                    # send and the deliver of its message, so "local"
-                    # matches either tap point (still once per spec)
-                    if at != point and point != "local":
-                        continue
-                    if watch is not None and where not in watch:
-                        continue
-                    if token is not None and token in alphabet:
-                        if advance(token):
-                            continue
-                        oob = False
-                    elif strict and token is not None:
-                        oob = True
-                    else:
-                        continue
-                    self._proto_flag(mon, i, where, token, origin,
-                                     dest, wire_seq, oob)
-            except Exception:           # a bad payload must never kill
-                pass                    # conformance checking
-
-    def _proto_flag(self, mon, i: int, where: str, token: Optional[str],
-                    origin: Optional[str], dest: Optional[str],
-                    wire_seq: Optional[int], oob: bool) -> None:
-        # flow ids (crc32) are dedup keys for hazards seen from both
-        # link ends — only violations (rare) pay for one
-        seqv = None if wire_seq is None else \
-            self._fast_flow(origin, dest, wire_seq)
-        hz = mon.cluster_violation(i, where, token, self.name,
-                                   self._step, seqv,
-                                   outside_alphabet=oob)
-        if hz is not None:
-            self.monitors.publish(hz)
+            # busy before the batch leaves the queue: drain() must not
+            # see an empty queue while a batch is still unchecked
+            self._proto_busy = True
+            self._obs.conform([q.popleft() for _ in range(len(q))])
+            self._proto_busy = False
 
     def _proto_flush(self, timeout: float = 5.0) -> bool:
         """Wait for the conformance pump to catch up (tests, drain).
@@ -677,11 +793,11 @@ class ClusterNode:
         The pump is a real daemon thread, so the bound is wall time —
         a frozen test ``clock`` must not turn this into a busy spin.
         """
-        if not self._proto_fast:
+        if self._proto_thread is None:
             return True
         self._proto_wake.set()
         deadline = time.monotonic() + timeout
-        while self._proto_q:
+        while self._proto_q or self._proto_busy:
             if time.monotonic() >= deadline:
                 return False
             time.sleep(0.001)
@@ -689,25 +805,9 @@ class ClusterNode:
 
     def _count_local_fastpath(self, actor: str,
                               message: Any = None) -> None:
-        if self.profiler is not None:
-            self.profiler.inc("cluster.local_fastpath")
-        if self._evt_on:
-            self._local_n += 1          # racy is fine: it only samples
-            if self._proto_fast:
-                # conformance must see *every* message, even on the
-                # zero-serialization path — no sampling while a
-                # protocol monitor is attached (inline append: this is
-                # the per-message cost, the pump does the rest)
-                self._proto_q.append(("local", actor, message,
-                                      None, None, None))
-                if self.telemetry is not None \
-                        and not (self._local_n & self._evt_mask):
-                    self._event("cluster-local", actor, self.name)
-            elif self._proto_on:
-                self._event("cluster-local", actor, self.name,
-                            extra={"msg": message_kind(message)})
-            elif not (self._local_n & self._evt_mask):
-                self._event("cluster-local", actor, self.name)
+        obs = self._obs
+        if obs is not None:
+            obs.local(actor, message)
 
     def _send_tell(self, path: str, message: Any, sender: Any) -> None:
         dest, actor = split_path(path)
@@ -733,9 +833,7 @@ class ClusterNode:
         send_ctx = None
         if gate.available <= 0 and gate.broken is None:
             self._event("cluster-park", actor=actor, peer=dest,
-                        extra={"path": path})
-            if self.profiler is not None:
-                self.profiler.inc("cluster.parks")
+                        extra={"path": path}, count="cluster.parks")
             w0 = trc.now() if trc is not None else 0.0
             t0 = self.clock()
             if not gate.acquire(timeout=self.config.park_timeout):
@@ -790,38 +888,9 @@ class ClusterNode:
                        sender=sender, ctx=ectx)
         outbox.register(seq, env, self.clock())
         self._transmit(dest, env)
-        if kind == TELL:
-            if self._evt_on and not (seq & self._evt_mask):
-                # target is always "<dest>/<actor>" here, so slice off
-                # the node prefix instead of re-splitting the path; no
-                # extra dict — nothing downstream reads it on sends
-                # (except a request id for the merged Chrome trace's
-                # flow arrow, and a message kind when a protocol
-                # monitor is watching the conversation)
-                if self._proto_fast:
-                    if self._proto_want_send:
-                        self._proto_q.append(
-                            ("send", target[len(dest) + 1:], payload,
-                             self.name, dest, seq))
-                    if self.telemetry is not None:
-                        self._event(
-                            "cluster-send", target[len(dest) + 1:],
-                            dest, self._fast_flow(self.name, dest, seq),
-                            extra=({"request_id": ectx[0]}
-                                   if ectx is not None else None))
-                else:
-                    extra = None
-                    if ectx is not None:
-                        extra = {"request_id": ectx[0]}
-                    if self._proto_on:
-                        extra = extra or {}
-                        extra["msg"] = message_kind(payload)
-                    self._event("cluster-send", target[len(dest) + 1:],
-                                dest,
-                                self._fast_flow(self.name, dest, seq),
-                                extra=extra)
-            if self.profiler is not None:
-                self.profiler.inc("cluster.sent")
+        obs = self._obs
+        if kind == TELL and obs is not None:
+            obs.send(target, dest, seq, payload, ectx)
         return seq
 
     def _send_control(self, dest: str, kind: str, target: str,
@@ -861,6 +930,7 @@ class ClusterNode:
         try:
             env = self.serializer.decode(frame)
         except Exception:
+            self._decode_errors += 1
             if self.profiler is not None:
                 self.profiler.inc("cluster.decode_errors")
             return
@@ -988,9 +1058,8 @@ class ClusterNode:
                     self._staged_total += 1
             if must_stage:
                 self._event("cluster-stage", actor=actor, peer=env.origin,
-                            extra={"staged": len(staged)})
-                if self.profiler is not None:
-                    self.profiler.inc("cluster.staged")
+                            extra={"staged": len(staged)},
+                            count="cluster.staged")
                 return
         self._admit(ref, env)
 
@@ -1030,37 +1099,9 @@ class ClusterNode:
                 tls.ctx = prev
         else:
             ref.tell(env.payload, sender=sender)
-        if self._evt_on and not (env.seq & self._evt_mask):
-            # samples on the same wire seq as the sender's mask, so a
-            # recorded recv always has its matching recorded send
-            if self._proto_fast:
-                if self._proto_want_deliver:
-                    self._proto_q.append(
-                        ("deliver", ref.name, env.payload,
-                         env.origin, self.name, env.seq))
-                if self.telemetry is not None:
-                    self._event(
-                        "cluster-recv", ref.name, env.origin, None,
-                        self._fast_flow(env.origin, self.name, env.seq),
-                        extra=({"request_id": env.ctx[0]}
-                               if env.ctx is not None else None))
-            else:
-                extra = None
-                if env.ctx is not None:
-                    extra = {"request_id": env.ctx[0]}
-                if self._proto_on:
-                    extra = extra or {}
-                    extra["msg"] = message_kind(env.payload)
-                self._event("cluster-recv", ref.name, env.origin, None,
-                            self._fast_flow(env.origin, self.name,
-                                            env.seq),
-                            extra=extra)
-        if self.profiler is not None:
-            self.profiler.inc("cluster.delivered")
-            self._delivered += 1
-            if self._delivered & 0x1F == 0:   # sample: depth takes a lock
-                self.profiler.gauge_max("cluster.mailbox_depth_max",
-                                        ref.pending)
+        obs = self._obs
+        if obs is not None:
+            obs.deliver(ref, env)
         self._owe_credit(env.origin, env.target)
 
     def _owe_credit(self, origin: str, path: str) -> None:
@@ -1145,9 +1186,8 @@ class ClusterNode:
             if was_parked:
                 self._event("cluster-resume", peer=env.origin,
                             actor=split_path(path)[1],
-                            extra={"path": path, "credits": int(n)})
-                if self.profiler is not None:
-                    self.profiler.inc("cluster.resumes")
+                            extra={"path": path, "credits": int(n)},
+                            count="cluster.resumes")
 
     def _handle_spawn(self, env: Envelope) -> None:
         payload = env.payload
@@ -1272,21 +1312,14 @@ class ClusterNode:
 
         # telemetry frames piggyback the same cadence pass (the agent
         # applies its own interval); its failures never break the tick
-        tele = self.telemetry
-        if tele is not None:
-            try:
-                tele.on_tick(now)
-            except Exception:
-                if self.profiler is not None:
-                    self.profiler.inc("cluster.telemetry_errors")
+        self._telemetry("on_tick", now)
 
         # retransmissions + expiries
         for dest, outbox in outboxes.items():
             for env in outbox.due(now):
                 self._event("cluster-retry", peer=dest,
-                            extra={"seq": env.seq, "kind": env.kind})
-                if self.profiler is not None:
-                    self.profiler.inc("cluster.retries")
+                            extra={"seq": env.seq, "kind": env.kind},
+                            count="cluster.retries")
                 self._transmit(dest, env)
             for env in outbox.expired(now):
                 self._abandon(dest, env)
@@ -1313,9 +1346,8 @@ class ClusterNode:
                     unacked = len(self._outboxes.get(peer.name, ()))
                 self._event("cluster-suspect", peer=peer.name,
                             extra={"unacked": unacked,
-                                   "silent_s": round(silent, 3)})
-                if self.profiler is not None:
-                    self.profiler.inc("cluster.suspects")
+                                   "silent_s": round(silent, 3)},
+                            count="cluster.suspects")
 
         self._flush_acks()
         self._flush_credits()
@@ -1360,10 +1392,8 @@ class ClusterNode:
             self._gate(env.target).release()
 
     def _on_peer_down(self, peer: str) -> None:
-        self._event("cluster-down", peer=peer)
+        self._event("cluster-down", peer=peer, count="cluster.downs")
         self._incident("peer-down", {"peer": peer})
-        if self.profiler is not None:
-            self.profiler.inc("cluster.downs")
         with self._state_lock:
             outbox = self._outboxes.get(peer)
             gates = [(path, g) for path, g in self._gates.items()
@@ -1455,58 +1485,22 @@ class ClusterNode:
         extra = {"why": why}
         if req is not None:
             extra["request_id"] = req
-        self._event("cluster-dead-letter", actor=target, extra=extra)
-        if self.profiler is not None:
-            self.profiler.inc("cluster.dead_letters")
+        self._event("cluster-dead-letter", actor=target, extra=extra,
+                    count="cluster.dead_letters")
 
     def dead_letters(self) -> list:
         """Snapshot of the hosting system's dead-letter log."""
         with self.system._dl_lock:
             return list(self.system.dead_letters)
 
-    def _fast_flow(self, origin: str, dest: str, seq: int) -> int:
-        """:func:`_flow_id` with the ``"origin|dest|"`` prefix bytes
-        cached per pair — same crc32 over the same bytes, minus the
-        f-string build and encode on every message."""
-        key = (origin, dest)
-        pre = self._flow_pre.get(key)
-        if pre is None:
-            pre = self._flow_pre[key] = f"{origin}|{dest}|".encode()
-        return zlib.crc32(pre + b"%d" % seq) & 0x7FFFFFFF
-
     def _event(self, kind: str, actor: str = "", peer: str = "",
-               msg_seq: Optional[int] = None,
-               recv_seq: Optional[int] = None,
-               extra: Optional[dict] = None) -> None:
-        if not self._evt_on:
-            return
-        tele = self.telemetry
-        if tele is not None:
-            # flight recorder first: one tuple into a bounded deque, no
-            # ClusterEvent construction unless trace/monitors want it
-            # (inlined FlightRecorder.record — this runs per message on
-            # the cluster hot path, the extra call frame is measurable;
-            # deque.append with maxlen is GIL-atomic, so no lock)
-            rec = tele.recorder
-            rec._n += 1
-            rec._dq.append((kind, actor, peer, msg_seq, recv_seq,
-                            self.wall(), extra))
-        if self.trace_events is None and self.monitors is None:
-            return
-        from .observe import ClusterEvent
-        with self._trace_lock:
-            self._step += 1
-            event = ClusterEvent(kind=kind, node=self.name, actor=actor,
-                                 peer=peer, step=self._step,
-                                 ts=self.wall(), msg_seq=msg_seq,
-                                 recv_seq=recv_seq, extra=extra or {})
-            if self.trace_events is not None:
-                self.trace_events.append(event)
-        if self.monitors is not None:
-            try:
-                self.monitors.feed(event)
-            except Exception:
-                pass
+               extra: Optional[dict] = None,
+               count: Optional[str] = None) -> None:
+        """One rare event (park, stage, suspect, ...), with the profiler
+        counter ``count`` that goes with it."""
+        obs = self._obs
+        if obs is not None:
+            obs.event(kind, actor, peer, extra, count)
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Local quiescence: every local mailbox empty, no staged remote
@@ -1536,19 +1530,12 @@ class ClusterNode:
         if self.closed:
             return
         self.closed = True
-        tele = self.telemetry
-        if tele is not None:
-            # graceful-stop postmortem: dump the final flight window
-            # (ours plus every reachable peer's) while the transport
-            # can still pull them; ``force`` bypasses the incident
-            # cooldown so a recent alert cannot swallow the run's
-            # last snapshot.  Never lets telemetry break close().
-            try:
-                tele.incident("node-stop", {"node": self.name},
-                              force=True)
-            except Exception:
-                if self.profiler is not None:
-                    self.profiler.inc("cluster.telemetry_errors")
+        # graceful-stop postmortem: dump the final flight window (ours
+        # plus every reachable peer's) while the transport can still
+        # pull them; ``force`` bypasses the incident cooldown so a
+        # recent alert cannot swallow the run's last snapshot
+        self._telemetry("incident", "node-stop", {"node": self.name},
+                        force=True)
         self._flush_acks()
         self._flush_credits()
         if self._proto_thread is not None:

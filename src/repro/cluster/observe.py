@@ -227,10 +227,9 @@ def cluster_bus(protocols: Optional[Iterable[Any]] = None) -> MonitorBus:
     companion of ``ClusterNode(monitors=...)``.
 
     ``protocols`` adds a :class:`~repro.obs.ProtocolMonitor` over the
-    given :class:`~repro.obs.Protocol` specs; the node notices it wants
-    message kinds and stamps them onto every cluster send/recv/local
-    event (the local fast path stops sampling so conformance sees each
-    message)."""
+    given :class:`~repro.obs.Protocol` specs; the node finds it by its
+    conformance rows and checks every send, delivery and local
+    fast-path message against them (no sampling)."""
     detectors = cluster_detectors()
     if protocols is not None:
         from ..obs.protocol import ProtocolMonitor

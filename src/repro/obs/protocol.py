@@ -33,14 +33,14 @@ every other detector consumes — kernel :class:`~repro.core.trace
 .TraceEvent`\\ s from the :class:`~repro.core.scheduler.Scheduler`
 (which the threaded-style kernel programs, the
 :class:`~repro.actors.sim.SimActorSystem` actors and the explorer all
-share), :class:`~repro.coroutines.CoChannel` taps from the
-:class:`~repro.coroutines.CoScheduler`, and
-:class:`~repro.cluster.observe.ClusterEvent`\\ s from
-:class:`~repro.cluster.node.ClusterNode` (including the
-zero-serialization local fast path, whose ``cluster-local`` instants
-fold send and delivery into one observation) — so it can never perturb
+share) and :class:`~repro.coroutines.CoChannel` taps from the
+:class:`~repro.coroutines.CoScheduler` — so it can never perturb
 scheduling, fingerprints or sleep sets, and ``explore(monitors=...)``
-reports identical run/decision counts with it attached.
+reports identical run/decision counts with it attached.  On the
+cluster, a :class:`~repro.cluster.node.ClusterNode` steps the same
+machines through :meth:`ProtocolMonitor.cluster_entries` with the live
+message of every send, delivery and zero-serialization local delivery
+(which folds send and delivery into one observation).
 
 A non-conforming message raises a ``protocol-violation`` hazard naming
 the offending message, the automaton state it arrived in (the recent
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Iterable, Optional
 
 from .monitors import Detector, Hazard, MonitorBus, default_detectors
@@ -566,16 +567,13 @@ class ProtocolMonitor(Detector):
 
     Consumes kernel send/deliver events (any runtime riding the
     Scheduler — threads-style programs and SimActorSystem actors —
-    plus CoChannel taps) and ``cluster-send``/``cluster-recv``/
-    ``cluster-local`` events.  Violations are ``error`` hazards keyed
+    plus CoChannel taps); cluster nodes step it through
+    :meth:`cluster_entries`.  Violations are ``error`` hazards keyed
     on ``(kind, subject, wire seq)`` so the same non-conforming message
     observed from both ends of a cluster link counts once.
     """
 
     name = "protocol"
-    #: tells event sources (ClusterNode) to stamp a ``msg`` kind token
-    #: into the events they emit — cluster frames do not carry payloads
-    wants_message_kinds = True
 
     def __init__(self, protocols: Iterable[Protocol],
                  max_violations: int = 8):
@@ -587,38 +585,19 @@ class ProtocolMonitor(Detector):
     # -- event classification ------------------------------------------
     @staticmethod
     def _observations(event: Any) -> list[tuple]:
-        """(point, where, kind-token, payload-desc, wire-seq) tuples
-        carried by one event, in happened order."""
-        ek = event.kind
+        """(point, where, payload-repr, wire-seq) tuples carried by one
+        kernel event, in happened order."""
         obs: list[tuple] = []
-        if ek.startswith("cluster-"):
-            extra = getattr(event, "extra", None) or {}
-            token = extra.get("msg")
-            if token is None:
-                return obs
-            if ek == "cluster-recv":
-                obs.append(("deliver", event.actor, token, token,
-                            event.recv_seq))
-            elif ek == "cluster-send":
-                obs.append(("send", event.actor, token, token,
-                            event.msg_seq))
-            elif ek == "cluster-local":
-                # the zero-serialization fast path folds send and
-                # delivery into one instant: satisfy both watch points
-                obs.append(("send", event.actor, token, token, None))
-                obs.append(("deliver", event.actor, token, token, None))
-            return obs
         recv_mbox = getattr(event, "recv_mbox", None)
         if recv_mbox is not None:
             raw = _envelope_inner(event.payload_repr)
             if raw is not None:
-                obs.append(("deliver", recv_mbox, None, raw,
-                            event.recv_seq))
+                obs.append(("deliver", recv_mbox, raw, event.recv_seq))
         msg_seq = getattr(event, "msg_seq", None)
         if msg_seq is not None and event.obj_name:
             raw = _send_payload(event.effect_repr, event.obj_name)
             if raw is not None:
-                obs.append(("send", event.obj_name, None, raw, msg_seq))
+                obs.append(("send", event.obj_name, raw, msg_seq))
         return obs
 
     # -- Detector protocol ---------------------------------------------
@@ -628,12 +607,10 @@ class ProtocolMonitor(Detector):
             return
         for i, proto in enumerate(self.protocols):
             machine = self._machines[i]
-            for point, where, token, raw, seqv in obs:
+            for point, where, raw, seqv in obs:
                 if proto.at != point or not proto.watches(where):
                     continue
-                kind = token
-                if kind is None:
-                    kind = (proto.classify or kind_from_repr)(raw)
+                kind = (proto.classify or kind_from_repr)(raw)
                 if kind is None or kind not in proto.alphabet:
                     if not proto.strict or kind is None:
                         continue
@@ -652,70 +629,27 @@ class ProtocolMonitor(Detector):
                 if hz is not None:
                     yield hz
 
-    # -- cluster hot-path tap ------------------------------------------
-    def cluster_points(self) -> frozenset:
-        """Observation points ('send'/'deliver') any protocol consumes —
-        lets an event source skip classifying messages at points no
-        spec watches."""
-        return frozenset(p.at for p in self.protocols)
-
-    def cluster_tap(self, point: str, where: str, token: Optional[str],
-                    seqv: Optional[int], step: int,
-                    node: str) -> Optional[list]:
-        """One cluster observation, without the event machinery.
-
-        Semantically identical to :meth:`on_event` on a stamped
-        ``cluster-*`` event carrying a single (point, where, token)
-        observation, but built for the cluster runtime's per-message
-        path: no ClusterEvent, no KernelView, no generator — just the
-        automaton step.  Returns the violation hazards (``None`` in
-        the conforming common case); the caller publishes them on its
-        bus so cross-link dedup and ``on_hazard`` hooks behave exactly
-        as on the fed path.
-        """
-        out = None
-        for i, proto in enumerate(self.protocols):
-            if proto.at != point or not proto.watches(where):
-                continue
-            if token is None or token not in proto.alphabet:
-                if not proto.strict or token is None:
-                    continue
-                hz = self._violation(i, self._machines[i], step,
-                                     f"{node}/{where}", where, token,
-                                     token, seqv, outside_alphabet=True)
-            elif self._machines[i].advance(token):
-                continue
-            else:
-                hz = self._violation(i, self._machines[i], step,
-                                     f"{node}/{where}", where, token,
-                                     token, seqv)
-            if hz is not None:
-                if out is None:
-                    out = []
-                out.append(hz)
-        return out
-
+    # -- the cluster node's conformance rows ---------------------------
     def cluster_entries(self) -> list:
-        """Flattened per-protocol rows for the cluster conformance pump:
-        ``(at, watch, alphabet, strict, advance, index)``.
+        """One row per protocol for a cluster node's conformance loop:
+        ``(at, watch, alphabet, strict, advance, flag)``.
 
-        Everything the per-message inner loop needs, pre-resolved to
-        locals — ``watch`` is ``None`` for watch-everything specs,
-        ``advance`` is the live machine's bound step.  Violations (the
-        rare leg) come back through :meth:`cluster_violation`."""
-        out = []
-        for i, proto in enumerate(self.protocols):
-            watch = frozenset(proto.parties) if proto.parties else None
-            out.append((proto.at, watch, proto.alphabet, proto.strict,
-                        self._machines[i].advance, i))
-        return out
+        Everything the per-message loop needs, pre-resolved — ``watch``
+        is ``None`` for watch-everything specs, ``advance`` is the live
+        machine's bound step, and ``flag(where, token, node, step,
+        seqv, outside_alphabet)`` is :meth:`cluster_violation` bound to
+        the row's protocol, for the rare non-conforming message."""
+        return [(p.at, frozenset(p.parties) if p.parties else None,
+                 p.alphabet, p.strict, self._machines[i].advance,
+                 partial(self.cluster_violation, i))
+                for i, p in enumerate(self.protocols)]
 
     def cluster_violation(self, i: int, where: str, token: Optional[str],
                           node: str, step: int, seqv: Optional[int],
                           outside_alphabet: bool = False
                           ) -> Optional[Hazard]:
-        """Build the hazard for a non-conforming cluster message seen by
-        the fast pump (same bookkeeping/capping as the fed path)."""
+        """Build the hazard for a non-conforming cluster message (same
+        bookkeeping and capping as :meth:`on_event`)."""
         return self._violation(i, self._machines[i], step,
                                f"{node}/{where}", where, token, token,
                                seqv, outside_alphabet=outside_alphabet)

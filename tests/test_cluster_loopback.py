@@ -499,6 +499,49 @@ def test_node_drain_reports_livelock(pair):
 
 
 # ---------------------------------------------------------------------------
+# drops and sink failures are counted without a profiler
+# ---------------------------------------------------------------------------
+
+def test_garbage_frame_counts_a_decode_error(pair):
+    hub, a, b, clock = pair
+    assert b.profiler is None
+    a.transport.send("b", b"\x00 not an envelope")
+    assert b.status()["decode_errors"] == 1
+    rec = b.spawn(Recorder, name="rec")
+    a.ref("b/rec").tell("after")           # the link still works
+    _settle(a, b)
+    assert _actor(rec).got == ["after"]
+
+
+def test_failing_detector_counts_sink_errors_and_delivery_continues():
+    from repro.obs.monitors import Detector, MonitorBus
+
+    class Broken(Detector):
+        name = "broken"
+
+        def on_event(self, view, event, ready):
+            raise RuntimeError("detector bug")
+
+    hub = LoopbackHub()
+    a = ClusterNode("a", hub.join("a"), timer=False)
+    b = ClusterNode("b", hub.join("b"), timer=False,
+                    monitors=MonitorBus([Broken()]))
+    try:
+        a.connect("b")
+        b.connect("a")
+        rec = b.spawn(Recorder, name="rec")
+        for k in range(3):
+            a.ref("b/rec").tell(k)
+        assert b.drain(timeout=10)
+        assert _actor(rec).got == [0, 1, 2]
+        assert b.status()["sink_errors"] >= 1
+        assert a.status()["sink_errors"] == 0
+    finally:
+        a.close()
+        b.close()
+
+
+# ---------------------------------------------------------------------------
 # zero-serialization local fast path
 # ---------------------------------------------------------------------------
 

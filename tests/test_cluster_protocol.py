@@ -1,14 +1,20 @@
 """Protocol conformance on the live cluster runtime.
 
-The conformance fast path: every bulk message — remote deliver, remote
-send, and the zero-serialization local fast path — lands in the node's
-per-message observation queue (one GIL-atomic append), and the daemon
-conformance pump steps the automata off the critical path.  ``drain()``
-flushes the pump, so hazards are visible at quiescence.  The slow fed
-path (``trace=True`` stamps kind tokens onto ClusterEvents) must flag
-the same streams.  Violations feed the telemetry plane: per-protocol
-counters in ``repro top`` frames and a postmortem bundle per incident.
+Every bulk message — remote deliver, remote send, and the
+zero-serialization local fast path — becomes one observation that the
+node's observer hands to one conformance function, which steps the
+``ProtocolMonitor.cluster_entries`` rows.  A node without a trace log
+queues observations (one GIL-atomic append) for a daemon pump thread;
+``drain()`` flushes the pump, so hazards are visible at quiescence.  A
+node with a trace log (every simulated node) steps them inline, right
+after logging the event.  Every remote conformance test runs in both
+modes.  Violations feed the telemetry plane: per-protocol counters in
+``repro top`` frames and a postmortem bundle per incident.
 """
+
+import sys
+import threading
+import time
 
 from repro.actors import Actor
 from repro.actors.system import DeadLetter
@@ -26,12 +32,25 @@ class Sink(Actor):
         pass
 
 
-def _pair(protocols, sender_bus=None, **b_kw):
+#: conformance modes: pumped (no trace log) and inline (trace log)
+MODES = (False, True)
+
+
+class SlowHash(str):
+    """A message head whose hash takes 50ms to compute."""
+
+    def __hash__(self):
+        time.sleep(0.05)
+        return str.__hash__(self)
+
+
+def _pair(protocols, sender_bus=None, trace=False):
     hub = LoopbackHub()
     bus = cluster_bus(protocols=protocols)
-    a = ClusterNode("a", hub.join("a"), workers=2, monitors=sender_bus)
+    a = ClusterNode("a", hub.join("a"), workers=2, monitors=sender_bus,
+                    trace=trace)
     b = ClusterNode("b", hub.join("b"), workers=2, monitors=bus,
-                    **b_kw)
+                    trace=trace)
     a.connect("b")
     b.connect("a")
     b.spawn(Sink, name="worker")
@@ -49,90 +68,128 @@ def _protocol_hazards(bus):
 
 class TestRemoteConformance:
     def test_out_of_order_delivery_flagged_at_quiescence(self):
-        a, b, bus = _pair([BOOT()])
-        try:
-            a.ref("b/worker").tell(("work", 1))   # WORK before INIT
-            a.ref("b/worker").tell(("init", 0))
-            assert a.drain() and b.drain()
-            flagged = _protocol_hazards(bus)
-            assert len(flagged) == 1
-            hz = flagged[0]
-            assert hz.severity == "error"
-            assert hz.subject == "boot@worker"
-            assert hz.seq is not None          # symmetric wire-flow id
-            assert "b/worker" in hz.tasks
-            assert "expected {init}" in hz.message
-        finally:
-            _close(a, b)
+        for trace in MODES:
+            a, b, bus = _pair([BOOT()], trace=trace)
+            try:
+                a.ref("b/worker").tell(("work", 1))   # WORK before INIT
+                a.ref("b/worker").tell(("init", 0))
+                assert a.drain() and b.drain()
+                flagged = _protocol_hazards(bus)
+                assert len(flagged) == 1, trace
+                hz = flagged[0]
+                assert hz.severity == "error"
+                assert hz.subject == "boot@worker"
+                assert hz.seq is not None          # symmetric wire-flow id
+                assert "b/worker" in hz.tasks
+                assert "expected {init}" in hz.message
+            finally:
+                _close(a, b)
 
     def test_conforming_stream_is_clean_and_observed(self):
+        for trace in MODES:
+            a, b, bus = _pair([BOOT()], trace=trace)
+            try:
+                ref = a.ref("b/worker")
+                ref.tell(("init", 0))
+                for k in range(5):
+                    ref.tell(("work", k))
+                assert a.drain() and b.drain()
+                assert not bus.hazards, trace
+                mon = next(d for d in bus.detectors
+                           if isinstance(d, ProtocolMonitor))
+                assert mon._machines[0].moved      # it watched, silently
+                assert not mon.counts()
+            finally:
+                _close(a, b)
+
+    def test_send_point_flags_on_the_sending_node(self):
+        for trace in MODES:
+            sender_bus = cluster_bus(
+                protocols=[BOOT(at="send")])
+            a, b, _ = _pair([], sender_bus=sender_bus, trace=trace)
+            try:
+                a.ref("b/worker").tell(("work", 1))
+                assert a.drain() and b.drain()
+                flagged = _protocol_hazards(sender_bus)
+                assert len(flagged) == 1, trace
+                assert flagged[0].tasks == ("a/worker",)
+            finally:
+                _close(a, b)
+
+    def test_strict_spec_flags_outside_alphabet_tokens(self):
+        for trace in MODES:
+            a, b, bus = _pair([BOOT(strict=True)], trace=trace)
+            try:
+                a.ref("b/worker").tell(("init", 0))
+                a.ref("b/worker").tell(("frobnicate", 1))
+                assert a.drain() and b.drain()
+                flagged = _protocol_hazards(bus)
+                assert len(flagged) == 1, trace
+                assert "outside the protocol alphabet" in flagged[0].message
+            finally:
+                _close(a, b)
+
+    def test_local_fastpath_messages_are_not_exempt(self):
+        for trace in MODES:
+            hub = LoopbackHub()
+            bus = cluster_bus(protocols=[BOOT()])
+            n = ClusterNode("solo", hub.join("solo"), workers=2,
+                            monitors=bus, trace=trace)
+            try:
+                n.spawn(Sink, name="worker")
+                # RemoteRef to a local actor takes the zero-serialization
+                # fast path — conformance still sees every message
+                RemoteRef(n, "solo/worker").tell(("work", 1))
+                assert n.drain()
+                flagged = _protocol_hazards(bus)
+                assert len(flagged) == 1, trace
+                assert flagged[0].subject == "boot@worker"
+            finally:
+                n.close()
+
+    def test_fed_path_flags_the_same_stream(self):
+        # with a trace log there is no pump: the node steps the automata
+        # inline, right after logging the event, and must reach the
+        # pump's verdict
+        for trace in MODES:
+            a, b, bus = _pair([BOOT()], trace=trace)
+            try:
+                a.ref("b/worker").tell(("work", 1))
+                assert a.drain() and b.drain()
+                assert len(_protocol_hazards(bus)) == 1, trace
+                assert (b._proto_thread is None) == trace
+            finally:
+                _close(a, b)
+
+
+    def test_drain_waits_for_the_pump_batch_in_flight(self):
+        # senders outnumber cores and switch often, so the pump drains
+        # batches while they send; the last message's head hashes
+        # slowly, so the pump is still classifying it after it emptied
+        # its queue — drain() must wait for it, and then the one
+        # violation (INIT mid-session) is already flagged
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         a, b, bus = _pair([BOOT()])
         try:
             ref = a.ref("b/worker")
             ref.tell(("init", 0))
-            for k in range(5):
-                ref.tell(("work", k))
-            assert a.drain() and b.drain()
-            assert not bus.hazards
-            mon = next(d for d in bus.detectors
-                       if isinstance(d, ProtocolMonitor))
-            assert mon._machines[0].moved      # it watched, silently
-            assert not mon.counts()
-        finally:
-            _close(a, b)
 
-    def test_send_point_flags_on_the_sending_node(self):
-        sender_bus = cluster_bus(
-            protocols=[BOOT(at="send")])
-        a, b, _ = _pair([], sender_bus=sender_bus)
-        try:
-            a.ref("b/worker").tell(("work", 1))
-            assert a.drain() and b.drain()
-            flagged = _protocol_hazards(sender_bus)
-            assert len(flagged) == 1
-            assert flagged[0].tasks == ("a/worker",)
-        finally:
-            _close(a, b)
-
-    def test_strict_spec_flags_outside_alphabet_tokens(self):
-        a, b, bus = _pair([BOOT(strict=True)])
-        try:
-            a.ref("b/worker").tell(("init", 0))
-            a.ref("b/worker").tell(("frobnicate", 1))
-            assert a.drain() and b.drain()
-            flagged = _protocol_hazards(bus)
-            assert len(flagged) == 1
-            assert "outside the protocol alphabet" in flagged[0].message
-        finally:
-            _close(a, b)
-
-    def test_local_fastpath_messages_are_not_exempt(self):
-        hub = LoopbackHub()
-        bus = cluster_bus(protocols=[BOOT()])
-        n = ClusterNode("solo", hub.join("solo"), workers=2,
-                        monitors=bus)
-        try:
-            n.spawn(Sink, name="worker")
-            # RemoteRef to a local actor takes the zero-serialization
-            # fast path — conformance still sees every message
-            RemoteRef(n, "solo/worker").tell(("work", 1))
-            assert n.drain()
-            flagged = _protocol_hazards(bus)
-            assert len(flagged) == 1
-            assert flagged[0].subject == "boot@worker"
-        finally:
-            n.close()
-
-    def test_fed_path_flags_the_same_stream(self):
-        # trace=True disables the fast pump (the trace log consumes
-        # stamped events); conformance rides bus.feed instead and must
-        # reach the same verdict
-        a, b, bus = _pair([BOOT()], trace=True)
-        try:
-            a.ref("b/worker").tell(("work", 1))
-            assert a.drain() and b.drain()
+            def storm():
+                for k in range(200):
+                    ref.tell(("work", k))
+            threads = [threading.Thread(target=storm) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert b.drain() and not _protocol_hazards(bus)
+            ref.tell((SlowHash("init"), 1))
+            assert b.drain()
             assert len(_protocol_hazards(bus)) == 1
         finally:
+            sys.setswitchinterval(old)
             _close(a, b)
 
 
@@ -248,8 +305,8 @@ class TestBusWiring:
         n = ClusterNode("solo", hub.join("solo"), workers=2,
                         monitors=cluster_bus())
         try:
-            assert not n._proto_fast
-            assert n._proto_thread is None
+            assert not [t for t in threading.enumerate()
+                        if t.name == "solo.conformance" and t.is_alive()]
         finally:
             n.close()
 

@@ -71,14 +71,21 @@ class TestExploreWorlds:
             assert kinds == [], name
 
     def test_protocol_monitors_ride_along(self):
-        """Conformance monitors consume simulated cluster events
-        without tripping on virtual time or inline delivery."""
+        """Conformance monitors consume simulated cluster traffic
+        without tripping on virtual time or inline delivery: every
+        run's automaton moves, and no run flags the conforming
+        stream."""
+        monitors = []
+
         def detectors():
-            spec = Protocol("sim-traffic", "MSG*", parties=("sink",),
-                            classify=lambda _r: "MSG")
-            return [ProtocolMonitor([spec])]
+            spec = Protocol("sim-traffic", "(W1 | W2 | W3)*",
+                            parties=("sink",), strict=True)
+            monitors.append(ProtocolMonitor([spec]))
+            return [monitors[-1]]
         res, kinds = explore_kinds("crash_rejoin", max_runs=80,
                                    detectors=detectors)
+        assert len(monitors) >= res.runs == 80
+        assert all(m._machines[0].moved for m in monitors)
         assert [k for k in kinds if k.startswith("protocol")] == []
 
 

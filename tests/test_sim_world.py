@@ -299,6 +299,25 @@ class TestDeterminism:
                    for s in range(6)}
         assert len(digests) > 1
 
+    def test_digests_are_pinned_across_commits(self):
+        """Fixed digests, not just two replays of one commit: a refactor
+        of the cluster node that changes what a seeded world does or
+        flags fails here.  Seed 0 is the digest in BENCH_sim.json; the
+        values hold under every PYTHONHASHSEED."""
+        from repro.obs.protocol import Protocol, ProtocolMonitor
+
+        sc = get("crash_rejoin")
+        assert run_world(sc.factory(0), seed=0,
+                         budget=600).digest() == "7ebfd627531d97a7"
+        assert run_world(sc.factory(7), seed=7,
+                         budget=600).digest() == "c17bd4adb5aca4ba"
+        order = run_world(sc.factory(0), seed=0, budget=600,
+                          detectors=lambda: [ProtocolMonitor([Protocol(
+                              "order", "W1 -> W2 -> W3", parties=("sink",),
+                              strict=True)])])
+        assert order.digest() == "f1ae3dbff0d8d07c"
+        assert [h.kind for h in order.hazards] == ["protocol-violation"] * 2
+
     def test_schedule_replay_reproduces_the_run(self):
         sc = get("crash_rejoin")
         first = run_world(sc.factory(4), seed=4, budget=sc.budget)
