@@ -59,17 +59,17 @@ class VectorClock:
     # -- construction ---------------------------------------------------
     def tick(self, pid: int) -> "VectorClock":
         """Return a new clock with ``pid``'s component incremented."""
-        v = dict(self._v)
+        v = self._v.copy()
         v[pid] = v.get(pid, 0) + 1
-        return VectorClock(v)
+        return _adopt(v)
 
     def merge(self, other: "VectorClock") -> "VectorClock":
         """Pointwise maximum — the receive rule (without the local tick)."""
-        v = dict(self._v)
+        v = self._v.copy()
         for pid, t in other._v.items():
             if t > v.get(pid, 0):
                 v[pid] = t
-        return VectorClock(v)
+        return _adopt(v)
 
     # -- comparison (happens-before) -------------------------------------
     def __le__(self, other: "VectorClock") -> bool:
@@ -103,3 +103,10 @@ class VectorClock:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}:{v}" for k, v in sorted(self._v.items()))
         return f"VC{{{inner}}}"
+
+
+def _adopt(v: dict[int, int]) -> VectorClock:
+    """Wrap a dict this module just built, without copying it again."""
+    vc = object.__new__(VectorClock)
+    vc._v = v
+    return vc

@@ -200,7 +200,15 @@ class Spawn(Effect):
 
 @dataclass(frozen=True)
 class Join(Effect):
-    """Block until ``task`` finishes; resumes with its return value."""
+    """Block until ``task`` finishes; resumes with its return value.
+
+    A task that failed has no return value: the joiner resumes with
+    ``None``, whether the task failed before or during the join, and
+    no exception is raised at the join (the error stays on
+    ``task.error``; ``raise_on_failure`` still aborts the run when the
+    task fails).  Pseudocode ``PARA`` relies on this to carry on after
+    a failed arm.
+    """
 
     task: Any
 

@@ -30,8 +30,11 @@ __all__ = [
     "RecordingPolicy",
 ]
 
+#: bypasses the frozen ``__setattr__`` — for ``Transition.__init__`` only
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Transition:
     """One enabled step the scheduler could take next.
 
@@ -48,6 +51,11 @@ class Transition:
     their mailbox, choices nothing.  ``None`` means *unknown* (a
     ``"run"`` resume may do anything), which reduction-aware policies
     must treat as conflicting with everything.
+
+    The scheduler builds one per enabled transition per step, so
+    ``__init__`` is written out as one ``__dict__`` store instead of
+    the generated per-field frozen setattrs (see
+    :class:`~repro.core.trace.TraceEvent`).
     """
 
     task: Task
@@ -55,6 +63,14 @@ class Transition:
     payload: Any = None
     payload_index: int = -1
     footprint: Optional[frozenset] = None
+
+    def __init__(self, task: Task, kind: str = "run", payload: Any = None,
+                 payload_index: int = -1,
+                 footprint: Optional[frozenset] = None) -> None:
+        _set(self, "__dict__", {"task": task, "kind": kind,
+                                "payload": payload,
+                                "payload_index": payload_index,
+                                "footprint": footprint})
 
     def describe(self) -> str:
         if self.kind == "run":

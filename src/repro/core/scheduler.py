@@ -45,6 +45,13 @@ __all__ = ["Scheduler", "run_tasks"]
 #: generous default so runaway programs fail loudly instead of hanging
 DEFAULT_MAX_STEPS = 200_000
 
+_READY = TaskState.READY
+_BLOCKED_ACQUIRE = TaskState.BLOCKED_ACQUIRE
+_BLOCKED_RECEIVE = TaskState.BLOCKED_RECEIVE
+_SLEEPING = TaskState.SLEEPING
+_DONE = TaskState.DONE
+_FAILED = TaskState.FAILED
+
 
 class Scheduler:
     """Execute generator tasks under a scheduling policy.
@@ -88,16 +95,23 @@ class Scheduler:
         the scheduler records counters/gauges/histograms (context
         switches, lock contention and wait ticks, mailbox depth,
         message latency, per-task run/block ticks) as it executes.
-        When None (default) the only cost is one ``is None`` test per
-        step — instrumentation never changes scheduling decisions.
+        The scheduler reads it once per step; when None (default) the
+        only cost is testing that local — instrumentation never changes
+        scheduling decisions.
     monitors:
         Optional :class:`repro.obs.MonitorBus`.  When given, every
         executed step's :class:`TraceEvent` is fed to the bus online
         (together with the names of the then-runnable tasks), and the
         run's outcome is delivered via ``bus.finish`` when :meth:`run`
-        returns normally.  Guarded by the same single ``is None`` test
-        as ``metrics`` — detectors observe the event stream only and
-        can never perturb scheduling, fingerprints or sleep sets.
+        returns normally.  Read once per step, like ``metrics`` —
+        detectors observe the event stream only and can never perturb
+        scheduling, fingerprints or sleep sets.
+
+    Per-step bookkeeping is constant beyond the transition's own work:
+    live tasks and sleeping tasks are counted where task state changes
+    (so ending the run and ticking sleep timers scan nothing while no
+    task sleeps), the yielded effect is dispatched on its type once,
+    and each instrumentation sink is read once.
     """
 
     def __init__(self,
@@ -127,6 +141,10 @@ class Scheduler:
         self.fingerprint_extra: Optional[Callable[[], Any]] = None
 
         self.tasks: list[Task] = []
+        #: tasks not yet DONE or FAILED — the run is over at zero
+        self._live = 0
+        #: tasks in SLEEPING — sleep timers tick only while nonzero
+        self._sleepers = 0
         self.trace = Trace()
         self._step_no = 0
         self._ran = False
@@ -134,7 +152,6 @@ class Scheduler:
         self._ltids: dict[int, int] = {}
         #: id(lock/mailbox/monitor) -> (first-use index, object)
         self._objects: dict[int, tuple[int, Any]] = {}
-        self._sleepers_active = False
         #: any Access effect executed — user shared state exists
         self._access_seen = False
         #: spawn-order id of the previously executed task (ctx switches)
@@ -168,11 +185,12 @@ class Scheduler:
         task = Task(gen, name=name or getattr(fn, "__name__", ""))
         task.daemon = daemon
         # spawn-order index: replay-stable, unlike the process-global tid
-        self._ltids[task.tid] = len(self._ltids)
+        task.ltid = self._ltids[task.tid] = len(self._ltids)
         if self.track_clocks:
-            # child inherits the current global knowledge at spawn time
+            # a fresh clock: only the Spawn effect merges in the parent's
             task.vclock = VectorClock().tick(task.tid)
         self.tasks.append(task)
+        self._live += 1
         if self.metrics is not None:
             self.metrics.inc("tasks_spawned")
         return task
@@ -184,7 +202,8 @@ class Scheduler:
         out: list[Transition] = []
         rec = self._recording
         for task in self.tasks:
-            if task.state is TaskState.READY:
+            state = task.state
+            if state is _READY:
                 if task.choice_options is not None:
                     for opt in task.choice_options:
                         out.append(Transition(
@@ -194,13 +213,13 @@ class Scheduler:
                     # what the generator will do next is unknown until it
                     # resumes: footprint stays None (= conflicts with all)
                     out.append(Transition(task, "run"))
-            elif task.state is TaskState.BLOCKED_ACQUIRE:
+            elif state is _BLOCKED_ACQUIRE:
                 lock = task.blocked_on
                 if lock._can_grant(task):
                     fp = (frozenset({self._stable_token(("lock", id(lock), "w"))})
                           if rec else None)
                     out.append(Transition(task, "acquire", footprint=fp))
-            elif task.state is TaskState.BLOCKED_RECEIVE:
+            elif state is _BLOCKED_RECEIVE:
                 mailbox: Mailbox = task.blocked_on
                 fp = (frozenset({self._stable_token(("mbox", id(mailbox), "w"))})
                       if rec else None)
@@ -216,13 +235,15 @@ class Scheduler:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute one transition.  Returns False when the run is over."""
-        if all(t.finished for t in self.tasks):
+        if not self._live:
             return False
         rf = self.record_from
         rec = self._recording = rf is not None and self._step_no >= rf
         transitions = self.enabled_transitions()
         if not transitions:
-            if self._advance_sleepers():
+            if self._sleepers:
+                # nothing else can run: fast-forward simulated time
+                self._wake_sleepers()
                 return True
             unfinished = [t for t in self.tasks if not t.finished]
             if all(t.daemon for t in unfinished):
@@ -243,10 +264,8 @@ class Scheduler:
 
         enabled_summary: Optional[tuple] = None
         if rec:
-            self._sleepers_active = any(
-                t.state is TaskState.SLEEPING for t in self.tasks)
             enabled_summary = tuple(
-                (self._ltid_of(tr.task.tid), tr.kind,
+                (tr.task.ltid, tr.kind,
                  tr.payload_index if tr.kind == "deliver"
                  else (repr(tr.payload) if tr.kind == "choice" else 0))
                 for tr in transitions)
@@ -256,7 +275,8 @@ class Scheduler:
             raise SimulationError(f"policy chose {idx} of {len(transitions)}")
         tr = transitions[idx]
         self._execute(tr, idx, len(transitions), enabled_summary)
-        self._tick_sleepers()
+        if self._sleepers:
+            self._tick_sleepers()
         return True
 
     def run(self) -> Trace:
@@ -274,7 +294,7 @@ class Scheduler:
         finally:
             self._close_leftover_generators()
         if self.trace.outcome == "done" and any(
-                t.state is TaskState.FAILED for t in self.tasks):
+                t.state is _FAILED for t in self.tasks):
             self.trace.outcome = "failed"
         if self.monitors is not None:
             # end-of-run detectors (deadlock cycles, lost wakeups) fire
@@ -304,22 +324,25 @@ class Scheduler:
     def _execute(self, tr: Transition, chosen: int, fanout: int,
                  enabled: Optional[tuple] = None) -> None:
         task = tr.task
+        kind = tr.kind
+        # each instrumentation sink is read once per step
+        m = self.metrics
+        bus = self.monitors
         value: Any = None
         payload_repr: Optional[str] = None
         ready_names: tuple = ()
-        if self.monitors is not None:
+        if bus is not None:
             # runnable tasks at choice time (starvation monitoring)
             ready_names = tuple(t.name for t in self.tasks
-                                if t.state is TaskState.READY)
+                                if t.state is _READY)
         self._evt_obj_name = None
         self._evt_msg_seq = None
         self._evt_recv_seq = None
         self._evt_recv_mbox = None
 
-        m = self.metrics
         if m is not None:
             m.inc("steps")
-            ltid = self._ltid_of(task.tid)
+            ltid = task.ltid
             if self._last_ran_ltid is not None and self._last_ran_ltid != ltid:
                 m.inc("context_switches")
             self._last_ran_ltid = ltid
@@ -331,42 +354,44 @@ class Scheduler:
         # ``blocked_on`` (acquire grants and delivers mutate the object).
         tracking = self.record_from is not None
         step_fp: Optional[set] = set() if self._recording else None
+        # a task slept when this step was chosen
+        asleep = self._sleepers > 0
         if tracking:
             # an Access yielded last step announced what THIS segment
             # does; consumed even below ``record_from`` so the token
             # never lands on a later step of the task
-            announced = getattr(task, "_announced_access", None)
+            announced = task._announced_access
             if announced is not None:
                 task._announced_access = None
                 if step_fp is not None:
                     step_fp.add(announced)
         if step_fp is not None:
-            if tr.kind == "acquire":
+            if kind == "acquire":
                 step_fp.add(("lock", id(task.blocked_on), "w"))
-            elif tr.kind == "deliver":
+            elif kind == "deliver":
                 step_fp.add(("mbox", id(task.blocked_on), "w"))
 
-        if tr.kind == "run":
+        if kind == "run":
             value, task.pending_value = task.pending_value, None
-        elif tr.kind == "choice":
+        elif kind == "choice":
             task.choice_options = None
             value = tr.payload
             payload_repr = repr(tr.payload)
-        elif tr.kind == "acquire":
+        elif kind == "acquire":
             lock = task.blocked_on
-            lock._grant(task, getattr(task, "_reacquire_depth", 1) or 1)
+            lock._grant(task, task._reacquire_depth or 1)
             task._reacquire_depth = 1
             self._merge_clock(task, lock._vclock)
             payload_repr = getattr(lock, "name", None)
             self._evt_obj_name = payload_repr
             if m is not None:
-                blocked_at = getattr(task, "_blocked_at_step", None)
+                blocked_at = task._blocked_at_step
                 if blocked_at is not None:
                     m.observe("lock_wait_ticks", self._step_no - blocked_at)
                 m.inc("lock_acquires")
                 m.inc(f"lock.{payload_repr}.acquires")
-            self._unblock(task)
-        elif tr.kind == "deliver":
+            self._unblock(task, m)
+        elif kind == "deliver":
             mailbox: Mailbox = task.blocked_on
             env = mailbox._take(tr.payload_index)
             self._merge_clock(task, env.vclock)
@@ -379,19 +404,19 @@ class Scheduler:
                 if sent_at is not None:
                     m.observe("message_latency_ticks",
                               self._step_no - sent_at)
-            self._unblock(task)
+            self._unblock(task, m)
             task.receive_matcher = None
             value = env.message
             payload_repr = repr(env)
         else:  # pragma: no cover
-            raise SimulationError(f"unknown transition kind {tr.kind}")
+            raise SimulationError(f"unknown transition kind {kind}")
 
         if tracking and value is not None:
             # kernel-fed inputs (choice picks, delivered messages, join
             # results) become task-local state invisible to fingerprints
             # unless logged: two tasks at the same step with different
             # inputs are NOT in the same local state
-            task._inputs = getattr(task, "_inputs", ()) + (
+            task._inputs += (
                 ("task", self._ltid_of(value.tid)) if isinstance(value, Task)
                 else repr(value),)
 
@@ -405,18 +430,18 @@ class Scheduler:
         try:
             effect = task.gen.send(value)
         except StopIteration as stop:
-            self._finish(task, stop.value)
+            self._finish(task, stop.value, m)
             effect_repr = "return"
         except Exception as exc:  # noqa: BLE001 - user task code may raise anything
-            self._fail(task, exc)
+            self._fail(task, exc, m)
             effect_repr = f"raise {type(exc).__name__}"
         else:
             try:
-                effect_repr = self._apply_effect(task, effect)
+                effect_repr = self._apply_effect(task, effect, m)
             except IllegalEffectError as exc:
                 # protocol violations are the *task's* bug, not the
                 # kernel's: fail the task like any other user exception
-                self._fail(task, exc)
+                self._fail(task, exc, m)
                 effect_repr = f"illegal {type(effect).__name__}"
             else:
                 if isinstance(effect, Access):
@@ -428,7 +453,7 @@ class Scheduler:
                         task._announced_access = next(iter(effect.footprint()))
                 elif step_fp is not None:
                     if (isinstance(effect, Acquire)
-                            and task.state is TaskState.BLOCKED_ACQUIRE):
+                            and task.state is _BLOCKED_ACQUIRE):
                         # parking only *observes* the lock; two parks of
                         # different tasks commute (r-r independent),
                         # while a Release ("w") still conflicts
@@ -440,180 +465,178 @@ class Scheduler:
             if task.finished:
                 # finishing/failing wakes joiners — a write on the task
                 step_fp.add(("task", task.tid, "w"))
-            if self._sleepers_active:
+            if asleep:
                 # any step taken while a sleeper exists advances its
                 # timer: steps are never reorderable across sleep ticks
                 step_fp.add(("time", 0, "w"))
 
-        self.trace.events.append(TraceEvent(
-            step=self._step_no,
-            task_tid=task.tid,
-            task_name=task.name,
-            kind=tr.kind,
-            effect_repr=effect_repr,
-            chosen_index=chosen,
-            fanout=fanout,
-            vclock=task.vclock if self.track_clocks else None,
-            access_var=access_var,
-            access_kind=access_kind,
-            payload_repr=payload_repr,
-            task_ltid=self._ltid_of(task.tid),
-            footprint=frozenset(self._stable_token(t) for t in step_fp)
+        # positional, in field order (see TraceEvent)
+        event = TraceEvent(
+            self._step_no, task.tid, task.name, kind, effect_repr,
+            chosen, fanout,
+            task.vclock if self.track_clocks else None,
+            access_var, access_kind, payload_repr, task.ltid,
+            frozenset([self._stable_token(t) for t in step_fp])
             if step_fp is not None else None,
-            enabled=enabled,
-            obj_name=self._evt_obj_name,
-            msg_seq=self._evt_msg_seq,
-            recv_seq=self._evt_recv_seq,
-            recv_mbox=self._evt_recv_mbox,
-        ))
-        if self.monitors is not None:
-            self.monitors.feed(self.trace.events[-1], ready_names)
+            enabled, self._evt_obj_name, self._evt_msg_seq,
+            self._evt_recv_seq, self._evt_recv_mbox)
+        self.trace.events.append(event)
+        if bus is not None:
+            bus.feed(event, ready_names)
 
-        if task.state is TaskState.FAILED and self.raise_on_failure:
+        if task.state is _FAILED and self.raise_on_failure:
             raise TaskFailed(task.name, task.error)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
-    # effect interpretation
+    # effect interpretation: one dispatch on the effect's type
     # ------------------------------------------------------------------
-    def _apply_effect(self, task: Task, effect: Effect) -> str:
-        if isinstance(effect, (Acquire, Release)):
-            self._register(effect.lock)
-        elif isinstance(effect, (Wait, Notify)):
-            self._register(effect.monitor)
-        elif isinstance(effect, (Send, Receive)):
-            self._register(effect.mailbox)
-
-        if isinstance(effect, (Pause, Access)):
-            if isinstance(effect, Access):
-                self._access_seen = True
-                if effect.kind is AccessKind.READ:
-                    task._read_access = True
-            label = effect.label or ("access " + effect.var
-                                     if isinstance(effect, Access) else "pause")
-            return label
-
-        m = self.metrics
-        if isinstance(effect, Acquire):
-            lock = effect.lock
-            self._evt_obj_name = getattr(lock, "name", None)
-            if lock._can_grant(task):
-                lock._grant(task)
-                self._merge_clock(task, lock._vclock)
-                if m is not None:
-                    m.inc("lock_acquires")
-                    m.inc(f"lock.{self._evt_obj_name}.acquires")
-                    m.observe("lock_wait_ticks", 0)
-            else:
-                if hasattr(lock, "contention_count"):
-                    lock.contention_count += 1
-                if m is not None:
-                    m.inc("lock_contended")
-                    m.inc(f"lock.{self._evt_obj_name}.contended")
-                self._block(task, TaskState.BLOCKED_ACQUIRE, lock,
-                            f"acquire {getattr(lock, 'name', lock)!r}")
-            return f"acquire {getattr(lock, 'name', lock)}"
-
-        if isinstance(effect, Release):
-            lock = effect.lock
-            self._evt_obj_name = getattr(lock, "name", None)
-            fully = lock._release(task)
-            if fully and self.track_clocks and task.vclock is not None:
-                lock._vclock = lock._vclock.merge(task.vclock)
-            if m is not None:
-                m.inc("lock_releases")
-            return f"release {getattr(lock, 'name', lock)}"
-
-        if isinstance(effect, Wait):
-            mon = effect.monitor
-            if not isinstance(mon, SimMonitor):
-                raise IllegalEffectError(f"WAIT on non-monitor {mon!r}")
-            self._evt_obj_name = mon.name
-            if m is not None:
-                m.inc("monitor_waits")
-            if self.track_clocks and task.vclock is not None:
-                mon._vclock = mon._vclock.merge(task.vclock)
-            mon._park_waiter(task)
-            self._block(task, TaskState.BLOCKED_WAIT, mon,
-                        f"wait on {mon.name}")
-            return f"wait {mon.name}"
-
-        if isinstance(effect, Notify):
-            mon = effect.monitor
-            if not isinstance(mon, SimMonitor):
-                raise IllegalEffectError(f"NOTIFY on non-monitor {mon!r}")
-            if mon._owner is not task:
+    def _apply_effect(self, task: Task, effect: Effect,
+                      m: Optional["KernelMetrics"]) -> str:
+        handler = _EFFECT_HANDLERS.get(type(effect))
+        if handler is None:
+            # a subclass of an effect type takes its base's handler
+            handler = next((h for cls, h in _EFFECT_HANDLERS.items()
+                            if isinstance(effect, cls)), None)
+            if handler is None:
                 raise IllegalEffectError(
-                    f"{task.name} notified {mon.name} without holding it")
-            self._evt_obj_name = mon.name
+                    f"{task.name} yielded non-effect {effect!r} — task "
+                    f"bodies must yield repro.core.effects.Effect instances")
+        return handler(self, task, effect, m)
+
+    def _on_pause(self, task: Task, effect: Pause, m) -> str:
+        return effect.label or "pause"
+
+    def _on_access(self, task: Task, effect: Access, m) -> str:
+        self._access_seen = True
+        if effect.kind is AccessKind.READ:
+            task._read_access = True
+        return effect.label or "access " + effect.var
+
+    def _on_acquire(self, task: Task, effect: Acquire, m) -> str:
+        lock = effect.lock
+        self._register(lock)
+        self._evt_obj_name = getattr(lock, "name", None)
+        if lock._can_grant(task):
+            lock._grant(task)
+            self._merge_clock(task, lock._vclock)
             if m is not None:
-                m.inc("monitor_notifies")
-            for waiter, depth in mon._pop_waiters(effect.all):
-                waiter._reacquire_depth = depth
-                self._block(waiter, TaskState.BLOCKED_ACQUIRE, mon,
-                            f"re-acquire {mon.name} after notify")
-            return f"notify{'All' if effect.all else ''} {mon.name}"
-
-        if isinstance(effect, Send):
-            env = effect.mailbox._deposit(effect.message, task)
-            self._evt_obj_name = effect.mailbox.name
-            self._evt_msg_seq = env.seq
+                m.inc("lock_acquires")
+                m.inc(f"lock.{self._evt_obj_name}.acquires")
+                m.observe("lock_wait_ticks", 0)
+        else:
+            if hasattr(lock, "contention_count"):
+                lock.contention_count += 1
             if m is not None:
-                depth = len(effect.mailbox.pending)
-                m.inc("messages_sent")
-                m.inc(f"mailbox.{effect.mailbox.name}.sent")
-                m.observe("mailbox_depth", depth)
-                m.gauge_max("mailbox_depth_max", depth)
-                m.gauge_max(f"mailbox.{effect.mailbox.name}.depth_max",
-                            depth)
-                m._sent_at[env.seq] = self._step_no
-            return f"send {env.message!r} to {effect.mailbox.name}"
+                m.inc("lock_contended")
+                m.inc(f"lock.{self._evt_obj_name}.contended")
+            self._block(task, _BLOCKED_ACQUIRE, lock,
+                        f"acquire {getattr(lock, 'name', lock)!r}")
+        return f"acquire {getattr(lock, 'name', lock)}"
 
-        if isinstance(effect, Receive):
-            self._evt_obj_name = effect.mailbox.name
-            task.receive_matcher = effect.matcher
-            self._block(task, TaskState.BLOCKED_RECEIVE, effect.mailbox,
-                        f"receive from {effect.mailbox.name}")
-            return f"receive from {effect.mailbox.name}"
+    def _on_release(self, task: Task, effect: Release, m) -> str:
+        lock = effect.lock
+        self._register(lock)
+        self._evt_obj_name = getattr(lock, "name", None)
+        fully = lock._release(task)
+        if fully and self.track_clocks and task.vclock is not None:
+            lock._vclock = lock._vclock.merge(task.vclock)
+        if m is not None:
+            m.inc("lock_releases")
+        return f"release {getattr(lock, 'name', lock)}"
 
-        if isinstance(effect, Spawn):
-            child = self.spawn(effect.gen, name=effect.name,
-                               daemon=effect.daemon)
-            if self.track_clocks and task.vclock is not None:
-                child.vclock = child.vclock.merge(task.vclock)
-            task.pending_value = child
-            return f"spawn {child.name}"
+    def _on_wait(self, task: Task, effect: Wait, m) -> str:
+        mon = effect.monitor
+        self._register(mon)
+        if not isinstance(mon, SimMonitor):
+            raise IllegalEffectError(f"WAIT on non-monitor {mon!r}")
+        self._evt_obj_name = mon.name
+        if m is not None:
+            m.inc("monitor_waits")
+        if self.track_clocks and task.vclock is not None:
+            mon._vclock = mon._vclock.merge(task.vclock)
+        mon._park_waiter(task)
+        self._block(task, TaskState.BLOCKED_WAIT, mon, f"wait on {mon.name}")
+        return f"wait {mon.name}"
 
-        if isinstance(effect, Join):
-            target: Task = effect.task
-            if target.finished:
-                task.pending_value = target.result
-                self._merge_clock(task, target.vclock)
-            else:
-                target.joiners.append(task)
-                self._block(task, TaskState.BLOCKED_JOIN, target,
-                            f"join {target.name}")
-            return f"join {target.name}"
+    def _on_notify(self, task: Task, effect: Notify, m) -> str:
+        mon = effect.monitor
+        self._register(mon)
+        if not isinstance(mon, SimMonitor):
+            raise IllegalEffectError(f"NOTIFY on non-monitor {mon!r}")
+        if mon._owner is not task:
+            raise IllegalEffectError(
+                f"{task.name} notified {mon.name} without holding it")
+        self._evt_obj_name = mon.name
+        if m is not None:
+            m.inc("monitor_notifies")
+        for waiter, depth in mon._pop_waiters(effect.all):
+            waiter._reacquire_depth = depth
+            self._block(waiter, _BLOCKED_ACQUIRE, mon,
+                        f"re-acquire {mon.name} after notify")
+        return f"notify{'All' if effect.all else ''} {mon.name}"
 
-        if isinstance(effect, Choice):
-            if not effect.options:
-                raise IllegalEffectError(f"{task.name} yielded an empty Choice")
-            task.choice_options = tuple(effect.options)
-            return f"choice of {len(effect.options)}"
+    def _on_send(self, task: Task, effect: Send, m) -> str:
+        mailbox = effect.mailbox
+        self._register(mailbox)
+        env = mailbox._deposit(effect.message, task)
+        self._evt_obj_name = mailbox.name
+        self._evt_msg_seq = env.seq
+        if m is not None:
+            depth = len(mailbox.pending)
+            m.inc("messages_sent")
+            m.inc(f"mailbox.{mailbox.name}.sent")
+            m.observe("mailbox_depth", depth)
+            m.gauge_max("mailbox_depth_max", depth)
+            m.gauge_max(f"mailbox.{mailbox.name}.depth_max", depth)
+            m._sent_at[env.seq] = self._step_no
+        return f"send {env.message!r} to {mailbox.name}"
 
-        if isinstance(effect, Emit):
-            self.trace.output.append(effect.value)
-            return f"emit {effect.value!r}"
+    def _on_receive(self, task: Task, effect: Receive, m) -> str:
+        mailbox = effect.mailbox
+        self._register(mailbox)
+        self._evt_obj_name = mailbox.name
+        task.receive_matcher = effect.matcher
+        self._block(task, _BLOCKED_RECEIVE, mailbox,
+                    f"receive from {mailbox.name}")
+        return f"receive from {mailbox.name}"
 
-        if isinstance(effect, Sleep):
-            if effect.ticks > 0:
-                task.sleep_ticks = effect.ticks
-                task.state = TaskState.SLEEPING
-                task.blocked_reason = f"sleep {effect.ticks}"
-            return f"sleep {effect.ticks}"
+    def _on_spawn(self, task: Task, effect: Spawn, m) -> str:
+        child = self.spawn(effect.gen, name=effect.name, daemon=effect.daemon)
+        if self.track_clocks and task.vclock is not None:
+            # the child happens after everything its parent did so far
+            child.vclock = child.vclock.merge(task.vclock)
+        task.pending_value = child
+        return f"spawn {child.name}"
 
-        raise IllegalEffectError(
-            f"{task.name} yielded non-effect {effect!r} — task bodies must "
-            f"yield repro.core.effects.Effect instances")
+    def _on_join(self, task: Task, effect: Join, m) -> str:
+        target: Task = effect.task
+        if target.finished:
+            # a failed target has no result: the joiner resumes with None
+            task.pending_value = target.result
+            self._merge_clock(task, target.vclock)
+        else:
+            target.joiners.append(task)
+            self._block(task, TaskState.BLOCKED_JOIN, target,
+                        f"join {target.name}")
+        return f"join {target.name}"
+
+    def _on_choice(self, task: Task, effect: Choice, m) -> str:
+        if not effect.options:
+            raise IllegalEffectError(f"{task.name} yielded an empty Choice")
+        task.choice_options = tuple(effect.options)
+        return f"choice of {len(effect.options)}"
+
+    def _on_emit(self, task: Task, effect: Emit, m) -> str:
+        self.trace.output.append(effect.value)
+        return f"emit {effect.value!r}"
+
+    def _on_sleep(self, task: Task, effect: Sleep, m) -> str:
+        if effect.ticks > 0:
+            task.sleep_ticks = effect.ticks
+            task.state = _SLEEPING
+            task.blocked_reason = f"sleep {effect.ticks}"
+            self._sleepers += 1
+        return f"sleep {effect.ticks}"
 
     # ------------------------------------------------------------------
     # helpers
@@ -622,18 +645,18 @@ class Scheduler:
         task.state = state
         task.blocked_on = on
         task.blocked_reason = reason
-        if self.metrics is not None:
-            task._blocked_at_step = self._step_no
+        # only read when metrics are attached (block and lock-wait ticks)
+        task._blocked_at_step = self._step_no
 
-    def _unblock(self, task: Task) -> None:
-        if self.metrics is not None:
-            blocked_at = getattr(task, "_blocked_at_step", None)
+    def _unblock(self, task: Task, m: Optional["KernelMetrics"]) -> None:
+        if m is not None:
+            blocked_at = task._blocked_at_step
             if blocked_at is not None:
                 delta = self._step_no - blocked_at
-                self.metrics.observe("block_ticks", delta)
-                self.metrics.task_add(task.name, "block_ticks", delta)
+                m.observe("block_ticks", delta)
+                m.task_add(task.name, "block_ticks", delta)
                 task._blocked_at_step = None
-        task.state = TaskState.READY
+        task.state = _READY
         task.blocked_on = None
         task.blocked_reason = ""
 
@@ -641,43 +664,51 @@ class Scheduler:
         if self.track_clocks and task.vclock is not None and other is not None:
             task.vclock = task.vclock.merge(other)
 
-    def _finish(self, task: Task, result: Any) -> None:
-        task.state = TaskState.DONE
+    def _finish(self, task: Task, result: Any,
+                m: Optional["KernelMetrics"]) -> None:
+        task.state = _DONE
         task.result = result
-        if self.metrics is not None:
-            self.metrics.inc("tasks_finished")
+        self._live -= 1
+        if m is not None:
+            m.inc("tasks_finished")
         for joiner in task.joiners:
             joiner.pending_value = result
             self._merge_clock(joiner, task.vclock)
-            self._unblock(joiner)
+            self._unblock(joiner, m)
         task.joiners.clear()
 
-    def _fail(self, task: Task, exc: BaseException) -> None:
-        task.state = TaskState.FAILED
+    def _fail(self, task: Task, exc: BaseException,
+              m: Optional["KernelMetrics"]) -> None:
+        task.state = _FAILED
         task.error = exc
-        if self.metrics is not None:
-            self.metrics.inc("tasks_failed")
+        self._live -= 1
+        if m is not None:
+            m.inc("tasks_failed")
         for joiner in task.joiners:
-            # joiner observes the failure as a TaskFailed raised at its Join
+            # the joiner resumes with None, as a Join on an already
+            # failed task does; the error stays on ``task.error``, so
+            # a PARA whose arm failed carries on after the join
             joiner.pending_value = None
-            self._unblock(joiner)
+            self._unblock(joiner, m)
         task.joiners.clear()
 
     def _tick_sleepers(self) -> None:
+        """Advance every sleeper's timer by the step just taken."""
+        m = self.metrics
         for t in self.tasks:
-            if t.state is TaskState.SLEEPING:
+            if t.state is _SLEEPING:
                 t.sleep_ticks -= 1
                 if t.sleep_ticks <= 0:
-                    self._unblock(t)
+                    self._sleepers -= 1
+                    self._unblock(t, m)
 
-    def _advance_sleepers(self) -> bool:
-        """No enabled transition: fast-forward simulated time if possible."""
-        sleepers = [t for t in self.tasks if t.state is TaskState.SLEEPING]
-        if not sleepers:
-            return False
-        for t in sleepers:
-            self._unblock(t)
-        return True
+    def _wake_sleepers(self) -> None:
+        """No enabled transition: fast-forward simulated time."""
+        m = self.metrics
+        for t in self.tasks:
+            if t.state is _SLEEPING:
+                self._unblock(t, m)
+        self._sleepers = 0
 
     # ------------------------------------------------------------------
     # reduction support: spawn-order identity + state fingerprints
@@ -744,10 +775,11 @@ class Scheduler:
         they have taken identical step counts.
         """
         ltid = self._ltid_of
-        tasks_part = tuple(
-            (ltid(t.tid), t.state.name, t.steps,
-             self._state_ref(t.blocked_on),
-             self._state_ref(t.pending_value)
+        ref = self._state_ref
+        tasks_part = tuple([
+            (t.ltid, t.state._name_, t.steps,
+             ref(t.blocked_on),
+             ref(t.pending_value)
              if isinstance(t.pending_value, Task) else repr(t.pending_value),
              repr(t.choice_options) if t.choice_options is not None else None,
              t.sleep_ticks,
@@ -756,13 +788,14 @@ class Scheduler:
              # state is the world object): its input history then stops
              # blocking reconvergence, which is what lets the
              # fingerprint reduction prune single-driver programs
-             getattr(t, "_inputs", ())
-             if getattr(t, "fingerprint_inputs", True) else ())
-            for t in self.tasks)
-        objects_part = tuple(
+             t._inputs if t.fingerprint_inputs else ())
+            for t in self.tasks])
+        # ``_objects`` is filled in first-use order, so its values are
+        # already sorted by first-use index
+        objects_part = tuple([
             obj.state_key(ltid) if hasattr(obj, "state_key") else repr(obj)
-            for _, obj in sorted(self._objects.values(), key=lambda e: e[0]))
-        output_part = tuple(repr(v) for v in self.trace.output)
+            for _, obj in self._objects.values()])
+        output_part = tuple([repr(v) for v in self.trace.output])
         extra = (repr(self.fingerprint_extra())
                  if self.fingerprint_extra is not None else None)
         return (tasks_part, objects_part, output_part, extra)
@@ -780,13 +813,31 @@ class Scheduler:
         """
         if self._access_seen and self.fingerprint_extra is None:
             return True
-        return any(getattr(t, "_read_access", False) and not t.finished
-                   for t in self.tasks)
+        return any(t._read_access and not t.finished for t in self.tasks)
 
     # ------------------------------------------------------------------
     def results(self) -> dict[str, Any]:
         """Map of task name → return value (finished tasks only)."""
         return {t.name: t.result for t in self.tasks if t.state is TaskState.DONE}
+
+
+#: effect type -> handler; subclasses fall back to the first
+#: ``isinstance`` match in this order (see ``_apply_effect``)
+_EFFECT_HANDLERS: dict[type, Callable[..., str]] = {
+    Access: Scheduler._on_access,
+    Pause: Scheduler._on_pause,
+    Acquire: Scheduler._on_acquire,
+    Release: Scheduler._on_release,
+    Wait: Scheduler._on_wait,
+    Notify: Scheduler._on_notify,
+    Send: Scheduler._on_send,
+    Receive: Scheduler._on_receive,
+    Spawn: Scheduler._on_spawn,
+    Join: Scheduler._on_join,
+    Choice: Scheduler._on_choice,
+    Emit: Scheduler._on_emit,
+    Sleep: Scheduler._on_sleep,
+}
 
 
 def run_tasks(*fns: Callable[[], Any],

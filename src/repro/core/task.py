@@ -79,6 +79,25 @@ class Task:
         self.steps: int = 0
         #: daemon tasks do not prevent quiescent termination
         self.daemon: bool = False
+        #: spawn-order index in the owning scheduler (replay-stable,
+        #: unlike ``tid``); -1 until spawned
+        self.ltid: int = -1
+        #: False when the program's ``fingerprint_extra`` captures this
+        #: task's locals, so its input history is left out of fingerprints
+        self.fingerprint_inputs: bool = True
+        # -- per-step kernel bookkeeping (read by the scheduler) --------
+        #: kernel-fed inputs (choice picks, delivered messages, join
+        #: results), folded into fingerprints as task-local state
+        self._inputs: tuple = ()
+        #: footprint token of an ``Access`` yielded last step: the access
+        #: it declares happens in the task's next segment
+        self._announced_access: Optional[tuple] = None
+        #: monitor re-entry depth restored by the next acquire grant
+        self._reacquire_depth: int = 1
+        #: the task has read a shared variable (fingerprints go opaque)
+        self._read_access: bool = False
+        #: step at which the task last blocked (lock/block tick metrics)
+        self._blocked_at_step: Optional[int] = None
 
     # ------------------------------------------------------------------
     @property

@@ -19,14 +19,22 @@ from .effects import AccessKind
 
 __all__ = ["TraceEvent", "Trace"]
 
+#: bypasses the frozen ``__setattr__`` — for ``__init__`` only
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class TraceEvent:
     """One atomic step of one task.
 
     ``effect_repr`` is a stable string form of the yielded effect (the
     effect objects themselves may hold live references to locks and
     mailboxes; traces must stay inspectable after the run is gone).
+
+    Frozen like any frozen dataclass (equality, hashing, ``fields`` and
+    ``replace`` are the generated ones), but ``__init__`` is written
+    out: the scheduler builds one event per step, and one ``__dict__``
+    store costs a fraction of the generated per-field frozen setattrs.
     """
 
     step: int
@@ -64,6 +72,29 @@ class TraceEvent:
     recv_seq: Optional[int] = None
     #: mailbox the delivered message came from
     recv_mbox: Optional[str] = None
+
+    def __init__(self, step: int, task_tid: int, task_name: str, kind: str,
+                 effect_repr: str, chosen_index: int, fanout: int,
+                 vclock: Optional[VectorClock] = None,
+                 access_var: Optional[str] = None,
+                 access_kind: Optional[AccessKind] = None,
+                 payload_repr: Optional[str] = None,
+                 task_ltid: int = -1,
+                 footprint: Optional[frozenset] = None,
+                 enabled: Optional[tuple] = None,
+                 obj_name: Optional[str] = None,
+                 msg_seq: Optional[int] = None,
+                 recv_seq: Optional[int] = None,
+                 recv_mbox: Optional[str] = None) -> None:
+        _set(self, "__dict__", {
+            "step": step, "task_tid": task_tid, "task_name": task_name,
+            "kind": kind, "effect_repr": effect_repr,
+            "chosen_index": chosen_index, "fanout": fanout,
+            "vclock": vclock, "access_var": access_var,
+            "access_kind": access_kind, "payload_repr": payload_repr,
+            "task_ltid": task_ltid, "footprint": footprint,
+            "enabled": enabled, "obj_name": obj_name, "msg_seq": msg_seq,
+            "recv_seq": recv_seq, "recv_mbox": recv_mbox})
 
     def describe(self, show_clock: bool = False) -> str:
         extra = f" [{self.payload_repr}]" if self.payload_repr else ""

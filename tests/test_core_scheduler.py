@@ -168,6 +168,51 @@ class TestFailureHandling:
             run_tasks(bad)
         assert isinstance(err.value.original, IllegalEffectError)
 
+    @staticmethod
+    def _join_failing(pauses_before_join):
+        """A parent joins a child that fails; the failure is not raised
+        at the join — the parent resumes with None and carries on."""
+        def failing():
+            yield Pause()
+            raise ValueError("boom")
+
+        def parent():
+            child = yield Spawn(failing(), name="failing")
+            for _ in range(pauses_before_join):
+                yield Pause()
+            result = yield Join(child)
+            yield Emit(("joined", result))
+        s = Scheduler(raise_on_failure=False)
+        parent_task = s.spawn(parent)
+        trace = s.run()
+        reprs = [e.effect_repr for e in trace.events]
+        return (trace, parent_task, reprs.index("join failing"),
+                reprs.index("raise ValueError"))
+
+    def test_join_task_that_fails_while_joined_resumes_with_none(self):
+        trace, parent, join_at, fail_at = self._join_failing(0)
+        assert join_at < fail_at          # parent was parked on the join
+        assert trace.output == [("joined", None)]
+        assert parent.state is TaskState.DONE
+        assert trace.outcome == "failed"
+
+    def test_join_already_failed_task_resumes_with_none(self):
+        trace, parent, join_at, fail_at = self._join_failing(3)
+        assert fail_at < join_at          # child had failed before the join
+        assert trace.output == [("joined", None)]
+        assert parent.state is TaskState.DONE
+        assert trace.outcome == "failed"
+
+    def test_effect_subclass_takes_base_handler(self):
+        class Shout(Emit):
+            pass
+
+        def body():
+            yield Shout("hey")
+        trace = run_tasks(body)
+        assert trace.output == ["hey"]
+        assert trace.events[0].effect_repr == "emit 'hey'"
+
 
 class TestDeadlockAndBudget:
     def test_deadlock_raises_with_blocked_names(self):

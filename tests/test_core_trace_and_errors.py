@@ -1,9 +1,12 @@
 """Trace rendering, error types, task bookkeeping, values formatting."""
 
+import dataclasses
+
 import pytest
 
-from repro.core import (DeadlockError, Emit, Pause, RandomPolicy, Scheduler,
-                        SimLock, Task, TaskState)
+from repro.core import (Acquire, DeadlockError, Emit, Pause, RandomPolicy,
+                        Release, Scheduler, SimLock, Task, TaskState,
+                        Transition, TraceEvent)
 
 
 class TestTrace:
@@ -45,6 +48,64 @@ class TestTrace:
     def test_schedule_and_decisions_align(self):
         trace = self._trace()
         assert len(trace.schedule()) == len(trace.decisions()) == len(trace)
+
+
+class TestFrozenTraceTypes:
+    """The kernel builds its events and transitions with hand-written
+    initialisers; they must behave exactly like frozen dataclasses."""
+
+    def _run(self):
+        sched = Scheduler(RandomPolicy(1), record_from=0)
+        lock = SimLock("L")
+
+        def worker():
+            yield Acquire(lock)
+            yield Emit("x")
+            yield Release(lock)
+        sched.spawn(worker, name="w1")
+        sched.spawn(worker, name="w2")
+        transitions = sched.enabled_transitions()
+        return sched, sched.run(), transitions
+
+    def _check_frozen(self, built, by_keyword):
+        assert built == by_keyword
+        assert hash(built) == hash(by_keyword)
+        assert repr(built) == repr(by_keyword)
+        name = dataclasses.fields(built)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del built.kind
+        assert dataclasses.replace(built) == built
+        changed = dataclasses.replace(built, kind="other")
+        assert changed.kind == "other" and changed != built
+        assert dataclasses.replace(changed, kind=built.kind) == built
+
+    def test_trace_event(self):
+        _, trace, _ = self._run()
+        for event in trace.events:
+            fields = {f.name: getattr(event, f.name)
+                      for f in dataclasses.fields(TraceEvent)}
+            self._check_frozen(event, TraceEvent(**fields))
+        # the recorded fields really are set, not left at defaults
+        first = trace.events[0]
+        assert first.footprint is not None and first.enabled is not None
+        assert first.vclock is not None and first.task_ltid >= 0
+
+    def test_trace_event_defaults(self):
+        event = TraceEvent(step=1, task_tid=2, task_name="t", kind="run",
+                           effect_repr="pause", chosen_index=0, fanout=1)
+        assert event.task_ltid == -1
+        assert event.vclock is None and event.recv_mbox is None
+
+    def test_transition(self):
+        sched, _, transitions = self._run()
+        assert [t.kind for t in transitions] == ["run", "run"]
+        for tr in transitions:
+            self._check_frozen(tr, Transition(
+                task=tr.task, kind=tr.kind, payload=tr.payload,
+                payload_index=tr.payload_index, footprint=tr.footprint))
+        assert Transition(transitions[0].task) == transitions[0]
 
 
 class TestDeadlockError:
