@@ -9,12 +9,19 @@ actors on pure coordination workloads because they pay no kernel
 context switches or lock contention.
 """
 
+import time
+from statistics import median
+
 import pytest
 
 from repro.problems import bounded_buffer
 from repro.problems.thread_pool_arith import fib, run_arith_lab
 
 ITEMS = 400
+
+#: perfbench's ``runtime-matrix`` cell size: operations per participant,
+#: and participants (one per CPU of the 2-core reference host)
+CELL_OPS, CELL_WORKERS = 500, 2
 
 
 def test_buffer_throughput_threads(benchmark):
@@ -107,3 +114,42 @@ def test_pingpong_latency_actors_vs_coroutines(benchmark):
         sched.run()
         return sched.steps
     assert benchmark(run) > 400
+
+
+def test_bench_actors_within_3x_of_coroutines():
+    """The work-stealing dispatcher's acceptance bar: preemptive actors
+    pay real threads, locks, and cross-thread handoffs that cooperative
+    coroutines don't, but the hot path (lock-free enqueue, batched
+    drains, worker-local LIFO scheduling) must keep that tax under 3×
+    on the message-passing cells.
+
+    Each problem runs at perfbench's cell size with no profiler; the two
+    runtimes alternate, and the gate reads the median of seven
+    coroutine/actor throughput ratios (one per pair of runs)."""
+    from repro.problems import pingpong, sum_workers
+
+    ops = CELL_OPS * CELL_WORKERS
+    values = list(range(ops))
+    cells = {
+        "pingpong": (
+            lambda: pingpong.run_actor_pingpong(rounds=ops),
+            lambda: pingpong.run_coroutine_pingpong(rounds=ops)),
+        "sum_workers": (
+            lambda: sum_workers.run_actor_sum(values=values,
+                                              workers=CELL_WORKERS),
+            lambda: sum_workers.run_coroutine_sum(values=values,
+                                                  workers=CELL_WORKERS)),
+    }
+
+    def wall(run):
+        t0 = time.perf_counter()
+        run()
+        return time.perf_counter() - t0
+
+    for problem, (actors, coroutines) in cells.items():
+        actors()                                 # warm both runtimes
+        coroutines()
+        # equal work per run, so the wall ratio is the throughput ratio
+        ratio = median(wall(actors) / wall(coroutines) for _ in range(7))
+        assert ratio <= 3, (
+            f"{problem}: coroutines out-run actors {ratio:.2f}x (bound 3x)")

@@ -1,9 +1,12 @@
-"""Monitor-bus overhead benchmarks.
+"""Instrumentation overhead benchmarks.
 
 Measures kernel event throughput (events/sec over full runs of the
 bounded buffer) with no bus attached, a bus with zero detectors, one
-detector, and the full shipped set, and writes ``BENCH_obs.json`` next
-to this file so the numbers can be compared across PRs.
+detector, and the full shipped set; the cluster hot path with
+telemetry, causal tracing and protocol monitors on and off; and the
+runtime profiler on coroutine pingpong.  Each test's section is merged
+into ``BENCH_obs.json`` next to this file, so a partial run updates the
+sections it ran and keeps the others.
 
 The acceptance bar mirrors the metrics benchmark: the un-instrumented
 path pays nothing beyond an ``is None`` test, and even the full
@@ -28,10 +31,12 @@ _RESULTS: dict = {}
 
 @pytest.fixture(scope="module", autouse=True)
 def write_bench_json():
-    """Dump everything the module measured once all benchmarks ran."""
+    """Merge the sections this run measured into ``BENCH_obs.json``."""
     yield
     out = Path(__file__).parent / "BENCH_obs.json"
-    out.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
+    sections = json.loads(out.read_text()) if out.exists() else {}
+    sections.update(_RESULTS)
+    out.write_text(json.dumps(sections, indent=2, sort_keys=True) + "\n")
 
 
 def _run_once(program, bus):
@@ -90,7 +95,7 @@ def test_bench_telemetry_overhead(benchmark):
     """
     import threading
 
-    from repro.cluster.bench import BENCH_CONFIG, Echo, Pinger
+    from repro.cluster.demo import BENCH_CONFIG, Echo, Pinger
     from repro.cluster.node import ClusterNode
     from repro.cluster.transport import LoopbackHub
     from repro.obs.profile import Profiler
@@ -185,7 +190,7 @@ def test_bench_tracer_overhead(benchmark):
     """
     import threading
 
-    from repro.cluster.bench import BENCH_CONFIG, Echo, Pinger
+    from repro.cluster.demo import BENCH_CONFIG, Echo, Pinger
     from repro.cluster.node import ClusterNode
     from repro.cluster.transport import LoopbackHub
     from repro.obs.causal import CausalTracer, clear_context
@@ -271,7 +276,7 @@ def test_bench_protocol_overhead(benchmark):
     """
     import threading
 
-    from repro.cluster.bench import BENCH_CONFIG, Echo, Pinger
+    from repro.cluster.demo import BENCH_CONFIG, Echo, Pinger
     from repro.cluster.node import ClusterNode
     from repro.cluster.transport import LoopbackHub
     from repro.obs.monitors import MonitorBus
@@ -347,6 +352,32 @@ def test_bench_protocol_overhead(benchmark):
         }
     }
     assert on >= off * 0.90, (off, on)
+
+
+def test_bench_profiling_overhead_stays_bounded(benchmark):
+    """The profiled pingpong exchange must stay within a constant
+    factor of the un-profiled one — the hooks are counter bumps and
+    clock reads, not serialization points."""
+    from repro.obs import Profiler
+    from repro.problems.pingpong import run_coroutine_pingpong
+
+    def timed(profiler):
+        t0 = time.perf_counter()
+        run_coroutine_pingpong(rounds=2_000, profiler=profiler)
+        return time.perf_counter() - t0
+
+    timed(None)                              # warm caches
+    off = benchmark.pedantic(lambda: min(timed(None) for _ in range(5)),
+                             rounds=1, iterations=1)
+    on = min(timed(Profiler()) for _ in range(5))
+    _RESULTS["profiling-overhead"] = {
+        "pingpong-coroutines-2000": {
+            "unprofiled_s": round(off, 4),
+            "profiled_s": round(on, 4),
+            "overhead_factor": round(on / off, 2),
+        }
+    }
+    assert on <= off * 10, (off, on)
 
 
 def test_bench_monitored_exploration_matches(benchmark):

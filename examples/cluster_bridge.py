@@ -37,7 +37,7 @@ from repro.cluster import (
     merge_chrome_traces,
     merge_profiles,
 )
-from repro.cluster.bench import BENCH_CONFIG, Car, ClusterBridge, spawn_worker
+from repro.cluster.demo import BENCH_CONFIG, Car, ClusterBridge, spawn_worker
 from repro.obs import Profiler
 
 CARS_PER_SIDE = 4

@@ -32,7 +32,7 @@ from repro.cluster import (
     SocketTransport,
     cluster_bus,
 )
-from repro.cluster.bench import spawn_worker
+from repro.cluster.demo import spawn_worker
 from repro.obs import Protocol
 from repro.obs.telemetry import TelemetryAgent
 

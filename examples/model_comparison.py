@@ -12,7 +12,9 @@ Three comparisons:
 Run:  python examples/model_comparison.py
 """
 
-from repro.bench import Workload, run_bench
+import time
+from statistics import median
+
 from repro.problems import bounded_buffer, sleeping_barber
 from repro.study import problem_effort
 
@@ -39,16 +41,21 @@ def throughput() -> None:
     print("\n== 2. producer/consumer throughput ==")
     print("  (CPython GIL: threads show blocking structure, not "
           "parallel speedup — see EXPERIMENTS.md)")
-    # the bench harness supplies warmup, repetitions and percentiles;
-    # `python -m repro bench` runs the full 6-problem matrix
-    result = run_bench(problems=["bounded_buffer"],
-                       workload=Workload(workers=4, ops=1000, warmup=1,
-                                         repetitions=3))
-    for cell in result.cells:
-        wall = cell["wall_us"]
-        print(f"  {cell['runtime']:<12} "
-              f"{cell['throughput_ops_per_s']:>12,.0f} items/s   "
-              f"p95 {wall['p95'] / 1000:.2f} ms")
+    # `python3 perfbench/run.py` times all six problems on every runtime
+    lanes, items_each = 2, 1000
+    for runtime, run in (("threads", bounded_buffer.run_threads_buffer),
+                         ("actors", bounded_buffer.run_actor_buffer),
+                         ("coroutines", bounded_buffer.run_coroutine_buffer)):
+        walls = []
+        for rep in range(4):                  # the first one warms up
+            t0 = time.perf_counter()
+            run(capacity=4, producers=lanes, consumers=lanes,
+                items_each=items_each)
+            if rep:
+                walls.append(time.perf_counter() - t0)
+        wall = median(walls)
+        print(f"  {runtime:<12} {lanes * items_each / wall:>12,.0f} items/s"
+              f"   median run {wall * 1000:.2f} ms")
 
 
 def effort() -> None:

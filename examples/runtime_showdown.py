@@ -7,19 +7,27 @@ attached to each runtime's own primitives, then prints what the wall
 clock can't show: where the time went *inside* each runtime — lock
 contention and monitor waits for threads, mailbox latency and queue
 depth for actors, resume latency and ready-queue residency for
-coroutines.
-
-Also exports a Chrome trace of the bench repetitions
-(``runtime_showdown_trace.json`` — open in chrome://tracing or
-https://ui.perfetto.dev).
+coroutines.  ``python3 perfbench/run.py`` is the benchmark; this is a
+look inside one problem.
 
 Run:  python examples/runtime_showdown.py
 """
 
-import json
-from pathlib import Path
+import time
+from statistics import median
 
-from repro.bench import Workload, run_bench
+from repro.obs import Profiler
+from repro.problems.single_lane_bridge import (run_actor_bridge,
+                                               run_coroutine_bridge,
+                                               run_threads_bridge)
+
+CARS = tuple((f"car-{i}", "red" if i % 2 == 0 else "blue")
+             for i in range(4))
+CROSSINGS = 50
+REPETITIONS = 5
+
+RUNNERS = {"threads": run_threads_bridge, "actors": run_actor_bridge,
+           "coroutines": run_coroutine_bridge}
 
 #: the per-runtime signals worth calling out next to the wall clock
 HIGHLIGHTS = {
@@ -31,18 +39,31 @@ HIGHLIGHTS = {
 }
 
 
-def main() -> None:
-    workload = Workload(workers=4, ops=50, warmup=1, repetitions=5)
-    print("== the bridge, raced on the three real runtimes ==")
-    print(f"   ({workload.workers} cars x {workload.ops} crossings, "
-          f"{workload.repetitions} repetitions; CPython GIL: threads "
-          "show blocking structure, not parallel speedup)\n")
-    result = run_bench(problems=["bridge"], workload=workload)
+def race(run) -> tuple[float, dict]:
+    """Median wall of the profiled repetitions, and their profile."""
+    run(cars=CARS, crossings=CROSSINGS)            # warm-up, unprofiled
+    profiler = Profiler()
+    walls = []
+    for _ in range(REPETITIONS):
+        t0 = time.perf_counter()
+        run(cars=CARS, crossings=CROSSINGS, profiler=profiler)
+        walls.append(time.perf_counter() - t0)
+    return median(walls), profiler.snapshot()
 
-    print(result.markdown())
-    for cell in result.cells:
-        runtime = cell["runtime"]
-        profile = cell["profile"]
+
+def main() -> None:
+    print("== the bridge, raced on the three real runtimes ==")
+    print(f"   ({len(CARS)} cars x {CROSSINGS} crossings, {REPETITIONS} "
+          "profiled repetitions; CPython GIL: threads show blocking "
+          "structure, not parallel speedup)\n")
+    results = {runtime: race(run) for runtime, run in RUNNERS.items()}
+
+    print("| runtime | crossings/s | median run ms |")
+    print("|---|---|---|")
+    for runtime, (wall, _) in results.items():
+        print(f"| {runtime} | {len(CARS) * CROSSINGS / wall:,.0f} "
+              f"| {wall * 1000:.2f} |")
+    for runtime, (_, profile) in results.items():
         print(f"\n-- inside the {runtime} runtime --")
         if not any(name in profile["counters"] or name in profile["gauges"]
                    or name in profile["histograms"]
@@ -57,11 +78,6 @@ def main() -> None:
                 h = profile["histograms"][name]
                 print(f"   {name:<22} n={h['count']} p50={h['p50']:.1f}us "
                       f"p95={h['p95']:.1f}us p99={h['p99']:.1f}us")
-
-    out = Path(__file__).parent / "runtime_showdown_trace.json"
-    out.write_text(json.dumps(result.chrome_trace(), sort_keys=True))
-    print(f"\nwrote {out}")
-    print("open in chrome://tracing or https://ui.perfetto.dev")
 
 
 if __name__ == "__main__":

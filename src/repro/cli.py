@@ -47,15 +47,6 @@ Commands:
     ``--spec '(REQ -> (REPLY | ERR))*' --parties server``.  Exits
     non-zero if any schedule violates the protocol.
 
-``bench``
-    Race the *real* runtimes — threads vs actors vs coroutines — on the
-    classical problems under one parameterized workload, with the
-    runtime profiler attached.  Prints the paper-style comparison table
-    (``--report`` for per-cell profile detail, ``--json`` for the
-    schema-stable payload); ``--baseline BENCH_runtimes.json`` gates on
-    throughput regressions, ``--trace-dir`` exports a Chrome trace of
-    the repetitions.
-
 ``top``
     Live cluster dashboard fed by the telemetry plane: per-node
     throughput, mailbox depth, credit stalls, p95 latency, and firing
@@ -66,7 +57,7 @@ Commands:
 
 ``critical``
     Causal critical-path report: run traced requests of a cluster
-    bench cell on a loopback node and print where each request's
+    demo cell on a loopback node and print where each request's
     latency went, segment by segment (handler execution, mailbox wait,
     executor queueing, backpressure parks, wire time, decode).
     ``--trace-out`` additionally writes the raw spans as a Chrome
@@ -83,7 +74,7 @@ Commands:
     dumps on actor failure / peer DOWN / SLO burn: list bundles, print
     the cross-node narrative, extract the merged Chrome trace.
 
-``trace``/``stats``/``explain``/``bench`` accept ``--out -`` to stream
+``trace``/``stats``/``explain`` accept ``--out -`` to stream
 the artifact to stdout instead of a file.
 
 ``bridge QUESTION``
@@ -502,99 +493,6 @@ def _cmd_protocol_check(args: argparse.Namespace) -> int:
             print("conforms: no protocol hazards on any "
                   "explored schedule")
     return 1 if flagged else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench import (DEFAULT, QUICK, Workload, bench_problems,
-                        bench_runtimes, compare_to_baseline, load_baseline,
-                        make_baseline, run_bench)
-    problems = args.problems.split(",") if args.problems else None
-    runtimes = args.runtimes.split(",") if args.runtimes else None
-    base_w = QUICK if args.quick else DEFAULT
-    workload = Workload(
-        workers=args.workers if args.workers is not None else base_w.workers,
-        ops=args.ops if args.ops is not None else base_w.ops,
-        warmup=args.warmup if args.warmup is not None else base_w.warmup,
-        repetitions=(args.repetitions if args.repetitions is not None
-                     else base_w.repetitions))
-
-    progress = None
-    if not args.json:
-        def progress(msg: str) -> None:
-            print(f"bench: {msg}", file=sys.stderr)
-
-    core_problems = problems
-    if args.cluster and problems is not None:
-        # cluster-only cells (e.g. pingpong-local) have no core
-        # counterpart — keep them out of run_bench's validation
-        from .cluster.bench import cluster_bench_problems
-        cluster_only = set(cluster_bench_problems()) - set(bench_problems())
-        core_problems = [p for p in problems if p not in cluster_only]
-    try:
-        if core_problems == []:
-            from .bench import BenchResult
-            result = BenchResult(workload, [], [])
-        else:
-            result = run_bench(problems=core_problems, runtimes=runtimes,
-                               workload=workload, progress=progress)
-    except KeyError as exc:
-        print(f"bench: {exc.args[0]}", file=sys.stderr)
-        print("known problems: " + ", ".join(bench_problems()),
-              file=sys.stderr)
-        print("known runtimes: " + ", ".join(bench_runtimes()),
-              file=sys.stderr)
-        return 2
-
-    if args.cluster:
-        from .cluster.bench import cluster_bench_problems, run_cluster_bench
-        cluster_problems = None
-        if problems is not None:
-            cluster_problems = [p for p in problems
-                                if p in cluster_bench_problems()]
-        if cluster_problems is None or cluster_problems:
-            cluster = run_cluster_bench(problems=cluster_problems,
-                                        workload=workload,
-                                        progress=progress)
-            result.cells.extend(cluster.cells)
-            result.spans.extend(cluster.spans)
-
-    if args.trace_dir:
-        trace_dir = Path(args.trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        trace_path = trace_dir / "bench_trace.json"
-        trace_path.write_text(json.dumps(result.chrome_trace(),
-                                         sort_keys=True))
-        print(f"wrote {trace_path} ({len(result.spans)} spans) — open in "
-              f"chrome://tracing or https://ui.perfetto.dev",
-              file=sys.stderr)
-
-    regressions: list[str] = []
-    if args.baseline:
-        baseline = load_baseline(args.baseline)
-        if args.update_baseline:
-            Path(args.baseline).write_text(
-                json.dumps(make_baseline(
-                    result, tolerance=float(baseline.get("tolerance", 0.8))),
-                    indent=2, sort_keys=True) + "\n")
-            print(f"updated baseline {args.baseline}", file=sys.stderr)
-        else:
-            regressions = compare_to_baseline(result, baseline)
-
-    if args.json:
-        payload = result.as_dict()
-        payload["regressions"] = regressions
-        out = _write_out(args.out, json.dumps(payload, sort_keys=True))
-    else:
-        out = _write_out(args.out, result.markdown(detail=args.report))
-    if out is not None:
-        print(f"wrote {out}", file=sys.stderr)
-    if regressions:
-        for line in regressions:
-            print(f"REGRESSION: {line}", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _demo_telemetry_cluster(interval: float, tracer=None):
@@ -1042,47 +940,6 @@ def main(argv: list[str] | None = None) -> int:
                           help="machine-readable verdict on stdout")
     p_pcheck.set_defaults(fn=_cmd_protocol_check)
 
-    p_bench = sub.add_parser(
-        "bench", help="race the real runtimes: threads vs actors vs "
-                      "coroutines on the classical problems")
-    p_bench.add_argument("--problems", default=None,
-                         help="comma-separated problem subset "
-                              "(default: all six)")
-    p_bench.add_argument("--runtimes", default=None,
-                         help="comma-separated runtime subset "
-                              "(default: threads,actors,coroutines)")
-    p_bench.add_argument("--workers", type=int, default=None,
-                         help="workload scale: concurrent participants")
-    p_bench.add_argument("--ops", type=int, default=None,
-                         help="workload scale: operations per participant")
-    p_bench.add_argument("--warmup", type=int, default=None,
-                         help="discarded warmup repetitions per cell")
-    p_bench.add_argument("--repetitions", type=int, default=None,
-                         help="measured repetitions per cell")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="CI smoke workload (small + fast)")
-    p_bench.add_argument("--cluster", action="store_true",
-                         help="also run the cluster cells (pingpong, "
-                              "pingpong-local, bridge) and merge them "
-                              "into the matrix")
-    p_bench.add_argument("--json", action="store_true",
-                         help="schema-stable JSON report on stdout")
-    p_bench.add_argument("--report", action="store_true",
-                         help="full Markdown report with per-cell "
-                              "profile detail (default: table only)")
-    p_bench.add_argument("--out", default="-",
-                         help="report destination (default '-': stdout)")
-    p_bench.add_argument("--trace-dir", default=None,
-                         help="also write a Chrome trace of the bench "
-                              "repetitions into this directory")
-    p_bench.add_argument("--baseline", default=None,
-                         help="compare against this BENCH_runtimes.json; "
-                              "exit 1 on regression beyond its tolerance")
-    p_bench.add_argument("--update-baseline", action="store_true",
-                         help="rewrite --baseline from this run instead "
-                              "of gating against it")
-    p_bench.set_defaults(fn=_cmd_bench)
-
     from .cluster.cli import add_cluster_commands
     add_cluster_commands(sub)
 
@@ -1131,7 +988,7 @@ def main(argv: list[str] | None = None) -> int:
                          "traced request's latency went, by segment")
     p_crit.add_argument("--cell", choices=("bridge", "pingpong"),
                         default="bridge",
-                        help="traced cluster bench cell (default bridge)")
+                        help="traced cluster demo cell (default bridge)")
     p_crit.add_argument("--requests", type=int, default=10,
                         help="traced requests to run (default 10)")
     p_crit.add_argument("--workers", type=int, default=4,
@@ -1153,7 +1010,7 @@ def main(argv: list[str] | None = None) -> int:
                        "them")
     p_wi.add_argument("--cell", choices=("bridge", "pingpong"),
                       default="bridge",
-                      help="traced cluster bench cell (default bridge)")
+                      help="traced cluster demo cell (default bridge)")
     p_wi.add_argument("--segment", default=None,
                       help="segment to speed up (e.g. mailbox-wait; "
                            "omit for the ranking alone)")

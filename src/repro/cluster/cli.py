@@ -1,4 +1,4 @@
-"""``repro cluster`` verbs — serve, spawn, tell, status, bench.
+"""``repro cluster`` verbs — serve, spawn, tell, status.
 
 The serve verb turns the current process into one long-running cluster
 node; every other verb is an *ephemeral client*: a listen-less node
@@ -51,7 +51,7 @@ def _client(args: argparse.Namespace) -> "Any":
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from ..obs.profile import Profiler
-    from . import bench as _bench  # noqa: F401 - registers bench actor types
+    from . import demo  # noqa: F401 - registers the demo actor types
     from .message import serializer
     from .node import ClusterNode
     from .transport import SocketTransport
@@ -66,7 +66,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         node.attach_telemetry(TelemetryAgent(
             postmortem_dir=args.postmortem_dir))
     if args.announce:
-        # parseable one-liner for scripts (the bench reads exactly this)
+        # parseable one-liner for scripts (spawn_worker reads exactly this)
         print(f"PORT {transport.port}", flush=True)
     print(f"node {args.name!r} serving on {args.host}:{transport.port} "
           f"({args.serializer} wire format)", file=sys.stderr)
@@ -158,43 +158,11 @@ def _cmd_status(args: argparse.Namespace) -> int:
         node.close()
 
 
-def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    from ..bench import DEFAULT, QUICK, Workload
-    from .bench import run_cluster_bench
-
-    workload = QUICK if args.quick else DEFAULT
-    overrides = {k: getattr(args, k) for k in
-                 ("workers", "ops", "warmup", "repetitions")
-                 if getattr(args, k) is not None}
-    if overrides:
-        workload = Workload(**{
-            "workers": workload.workers, "ops": workload.ops,
-            "warmup": workload.warmup,
-            "repetitions": workload.repetitions, **overrides})
-    problems = args.problems.split(",") if args.problems else None
-
-    def progress(msg: str) -> None:
-        print(f"cluster bench: {msg}", file=sys.stderr)
-
-    try:
-        result = run_cluster_bench(problems=problems, workload=workload,
-                                   progress=progress)
-    except KeyError as exc:
-        print(f"cluster bench: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(result.as_dict(), sort_keys=True))
-    else:
-        print(result.markdown())
-    return 0
-
-
 def add_cluster_commands(sub: Any) -> None:
     """Install the ``cluster`` subcommand tree on the main CLI."""
     p = sub.add_parser(
         "cluster", help="distributed actor runtime: serve a node, spawn "
-                        "and message remote actors, bench across "
-                        "processes")
+                        "and message remote actors, fetch its status")
     csub = p.add_subparsers(dest="cluster_command", required=True)
 
     def client_flags(cp: argparse.ArgumentParser) -> None:
@@ -266,18 +234,3 @@ def add_cluster_commands(sub: Any) -> None:
                           help="also fetch the node's cluster trace and "
                                "write it as a Chrome trace file")
     p_status.set_defaults(fn=_cmd_status)
-
-    p_bench = csub.add_parser(
-        "bench", help="run the cluster bench cells (2 processes); "
-                      "`repro bench --cluster` merges them into the "
-                      "full matrix")
-    p_bench.add_argument("--problems", default=None,
-                         help="comma-separated subset (default: "
-                              "pingpong,pingpong-local,bridge)")
-    p_bench.add_argument("--workers", type=int, default=None)
-    p_bench.add_argument("--ops", type=int, default=None)
-    p_bench.add_argument("--warmup", type=int, default=None)
-    p_bench.add_argument("--repetitions", type=int, default=None)
-    p_bench.add_argument("--quick", action="store_true")
-    p_bench.add_argument("--json", action="store_true")
-    p_bench.set_defaults(fn=_cmd_cluster_bench)

@@ -50,7 +50,7 @@ from .causal import (SEGMENTS, CausalTracer, RequestContext, RequestTrace,
 from .explain import (CriticalPair, Explanation, explain_hazard,
                       explain_program, explain_trace, find_critical_pair,
                       minimize_schedule, postmortem_narrative)
-from .export import chrome_trace, chrome_trace_from_spans, jsonl_events
+from .export import chrome_trace, jsonl_events
 from .metrics import Histogram, KernelMetrics
 from .profile import FakeClock, Profiler, wall_clock
 from .monitors import (DeadlockDetector, Detector, FailureDetector, Hazard,
@@ -68,7 +68,7 @@ from .telemetry import (SLO, Aggregator, Alert, FlightRecorder, SLOEngine,
 
 __all__ = [
     "Histogram", "KernelMetrics", "chrome_trace", "jsonl_events",
-    "chrome_trace_from_spans", "Profiler", "FakeClock", "wall_clock",
+    "Profiler", "FakeClock", "wall_clock",
     "Hazard", "KernelView", "Detector", "MonitorBus",
     "DeadlockDetector", "LostWakeupDetector", "StarvationDetector",
     "MessageOrderDetector", "RaceDetector", "FailureDetector",

@@ -586,19 +586,19 @@ def trace_cluster_cell(cell: str = "bridge", requests: int = 10,
                        workers: int = 4, scale: int = 8,
                        tracer: Optional[CausalTracer] = None,
                        timeout: float = 30.0) -> tuple:
-    """Run ``requests`` traced requests of a cluster bench cell on a
+    """Run ``requests`` traced requests of a cluster demo cell on a
     single-process loopback node (one clock domain, so cross-"node"
     spans line up) and return ``(tracer, measured)`` where ``measured``
     maps request id → wall end-to-end seconds.
 
-    Cells: ``bridge`` — the bench's colocated bridge world, one
+    Cells (actors from :mod:`repro.cluster.demo`): ``bridge`` — the
+    colocated :class:`~repro.cluster.demo.BridgeWorld`, one
     request per ``("start", cars, crossings)`` repetition; ``pingpong``
     — one pinger/echo pair, one request per ``("start", rounds)``
     burst.  Cluster imports are lazy so ``repro.obs`` stays importable
     without the cluster layer.
     """
-    from ..cluster.bench import (BENCH_CONFIG, BridgeWorld, Echo,
-                                 Pinger)
+    from ..cluster.demo import BENCH_CONFIG, BridgeWorld, Echo, Pinger
     from ..cluster.message import PickleSerializer, make_path
     from ..cluster.node import ClusterNode, RemoteRef
     from ..cluster.transport import LoopbackHub

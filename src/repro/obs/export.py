@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-__all__ = ["chrome_trace", "jsonl_events", "chrome_trace_from_spans"]
+__all__ = ["chrome_trace", "jsonl_events"]
 
 #: microseconds of Chrome-trace time per scheduler step
 DEFAULT_SCALE = 10
@@ -129,47 +129,6 @@ def chrome_trace(trace: Any, *, pid: int = 1,
             "logical_step_us": scale,
         },
     }
-
-
-def chrome_trace_from_spans(spans: list, *, pid: int = 1,
-                            source: str = "repro.obs.profile",
-                            meta: Optional[dict[str, Any]] = None
-                            ) -> dict[str, Any]:
-    """Render profiler spans as a Chrome Trace Event Format object.
-
-    ``spans`` is a list of ``(name, lane, t0, t1)`` tuples with
-    wall-clock seconds, as collected by
-    :class:`repro.obs.profile.Profiler` with ``spans=True`` — unlike
-    :func:`chrome_trace`, the time axis here is *real*.  Lanes map to
-    Chrome ``tid`` tracks in first-seen order; timestamps are rebased to
-    the earliest span so the trace starts at t=0.
-    """
-    events: list[dict[str, Any]] = [{
-        "ph": "M", "name": "process_name", "pid": pid, "tid": 0, "ts": 0,
-        "args": {"name": source},
-    }]
-    lanes: dict[str, int] = {}
-    base = min((t0 for _, _, t0, _ in spans), default=0.0)
-    for name, lane, t0, t1 in spans:
-        tid = lanes.get(lane)
-        if tid is None:
-            tid = lanes[lane] = len(lanes) + 1
-            events.append({"ph": "M", "name": "thread_name", "pid": pid,
-                           "tid": tid, "ts": 0, "args": {"name": lane}})
-            events.append({"ph": "M", "name": "thread_sort_index",
-                           "pid": pid, "tid": tid, "ts": 0,
-                           "args": {"sort_index": tid}})
-        events.append({"ph": "X", "name": name, "cat": "bench", "pid": pid,
-                       "tid": tid, "ts": round((t0 - base) * 1e6, 3),
-                       "dur": round((t1 - t0) * 1e6, 3), "args": {}})
-    payload = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"source": source, "spans": len(spans)},
-    }
-    if meta:
-        payload["otherData"].update(meta)
-    return payload
 
 
 def jsonl_events(trace: Any) -> str:

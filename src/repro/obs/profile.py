@@ -92,25 +92,17 @@ class Profiler:
     ``CoScheduler(profiler=...)`` ...), read :meth:`snapshot` when the
     workload finishes.  Thread-safe; share one instance across all the
     threads of a run.
-
-    ``spans=True`` additionally retains ``(name, lane, t0, t1)`` span
-    records for Chrome-trace export via
-    :func:`repro.obs.export.chrome_trace_from_spans` — off by default
-    because spans grow with the workload.
     """
 
-    __slots__ = ("clock", "counters", "gauges", "histograms", "spans",
-                 "_lock", "_t0")
+    __slots__ = ("clock", "counters", "gauges", "histograms", "_lock",
+                 "_t0")
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 spans: bool = False):
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
         self.clock = clock if clock is not None else wall_clock
         self.counters: dict[str, int] = {}
         #: high-water marks (monotone max)
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
-        self.spans: Optional[list[tuple[str, str, float, float]]] = \
-            [] if spans else None
         self._lock = threading.Lock()
         self._t0 = self.clock()
 
@@ -142,11 +134,6 @@ class Profiler:
     def observe_us(self, name: str, seconds: float) -> None:
         """Record a duration given in seconds, stored as microseconds."""
         self.observe(name, seconds * 1e6)
-
-    def span(self, name: str, lane: str, t0: float, t1: float) -> None:
-        if self.spans is not None:
-            with self._lock:
-                self.spans.append((name, lane, t0, t1))
 
     def timed(self, name: str) -> "_Timed":
         """``with profiler.timed("phase"): ...`` — not for hot paths."""

@@ -76,15 +76,6 @@ def test_rate_is_counter_over_elapsed():
     assert prof.rate("coro.resumes") == pytest.approx(10.0)  # 10 in 1 s
 
 
-def test_spans_collected_only_when_enabled():
-    off = Profiler(clock=FakeClock())
-    off.span("rep", "threads", 0.0, 1.0)
-    assert off.spans is None
-    on = Profiler(clock=FakeClock(), spans=True)
-    on.span("rep", "threads", 0.0, 1.0)
-    assert on.spans == [("rep", "threads", 0.0, 1.0)]
-
-
 def test_format_mentions_every_recorded_metric():
     prof = Profiler(clock=FakeClock())
     prof.inc("thread.started")
