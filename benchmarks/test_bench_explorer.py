@@ -127,7 +127,7 @@ def test_bench_metrics_overhead(benchmark):
     from statistics import median
 
     from repro.core import RandomPolicy, Scheduler
-    from repro.obs import KernelMetrics
+    from repro.obs import Metrics
 
     program = buffer_program()
 
@@ -148,7 +148,7 @@ def test_bench_metrics_overhead(benchmark):
     run_once(None)  # warm caches
     disabled = benchmark.pedantic(lambda: time_runs(lambda: None),
                                   rounds=1, iterations=1)
-    enabled = time_runs(KernelMetrics)
+    enabled = time_runs(Metrics)
     _RESULTS["metrics-overhead"] = {
         "buffer-2p2c": {
             "disabled_median_s": round(disabled, 6),

@@ -98,7 +98,7 @@ def test_bench_telemetry_overhead(benchmark):
     from repro.cluster.demo import BENCH_CONFIG, Echo, Pinger
     from repro.cluster.node import ClusterNode
     from repro.cluster.transport import LoopbackHub
-    from repro.obs.profile import Profiler
+    from repro.obs import Metrics
     from repro.obs.telemetry import TelemetryAgent
 
     rounds, inflight, reps = 3000, 32, 7
@@ -107,10 +107,10 @@ def test_bench_telemetry_overhead(benchmark):
         hub = LoopbackHub()
         a = ClusterNode("driver", hub.join("driver"),
                         config=BENCH_CONFIG, workers=2,
-                        profiler=Profiler())
+                        profiler=Metrics())
         b = ClusterNode("worker", hub.join("worker"),
                         config=BENCH_CONFIG, workers=2,
-                        profiler=Profiler())
+                        profiler=Metrics())
         agents = []
         if telemetry:
             agents = [TelemetryAgent(interval=0.1).attach(n)
@@ -358,7 +358,7 @@ def test_bench_profiling_overhead_stays_bounded(benchmark):
     """The profiled pingpong exchange must stay within a constant
     factor of the un-profiled one — the hooks are counter bumps and
     clock reads, not serialization points."""
-    from repro.obs import Profiler
+    from repro.obs import Metrics
     from repro.problems.pingpong import run_coroutine_pingpong
 
     def timed(profiler):
@@ -369,7 +369,7 @@ def test_bench_profiling_overhead_stays_bounded(benchmark):
     timed(None)                              # warm caches
     off = benchmark.pedantic(lambda: min(timed(None) for _ in range(5)),
                              rounds=1, iterations=1)
-    on = min(timed(Profiler()) for _ in range(5))
+    on = min(timed(Metrics()) for _ in range(5))
     _RESULTS["profiling-overhead"] = {
         "pingpong-coroutines-2000": {
             "unprofiled_s": round(off, 4),

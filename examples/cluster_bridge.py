@@ -33,12 +33,11 @@ from repro.cluster import (
     LoopbackHub,
     PickleSerializer,
     SocketTransport,
-    format_merged_profile,
     merge_chrome_traces,
     merge_profiles,
 )
 from repro.cluster.demo import BENCH_CONFIG, Car, ClusterBridge, spawn_worker
-from repro.obs import Profiler
+from repro.obs import Metrics, format_snapshot
 
 CARS_PER_SIDE = 4
 CROSSINGS = 200                  # total, across every car
@@ -46,7 +45,7 @@ CROSSINGS = 200                  # total, across every car
 
 def run(socket_mode: bool, trace_out: str | None) -> None:
     trace = trace_out is not None
-    profiler = Profiler()
+    profiler = Metrics()
     config = BENCH_CONFIG if socket_mode else ClusterConfig()
 
     if socket_mode:
@@ -65,7 +64,7 @@ def run(socket_mode: bool, trace_out: str | None) -> None:
         west = ClusterNode("west", hub.join("west"), config=config,
                            profiler=profiler, trace=trace)
         east = ClusterNode("east", hub.join("east"), config=config,
-                           profiler=Profiler(), trace=trace)
+                           profiler=Metrics(), trace=trace)
         west.connect("east")
         east.connect("west")
         west.spawn(ClusterBridge, name="bridge")
@@ -119,7 +118,7 @@ def run(socket_mode: bool, trace_out: str | None) -> None:
                      "west": west.profiler.snapshot()}
         node_events = {"east": east.trace_events or [],
                        "west": west.trace_events or []}
-    print(format_merged_profile(merge_profiles(snapshots)))
+    print(format_snapshot(merge_profiles(snapshots)))
 
     if trace_out:
         merged = merge_chrome_traces(node_events)

@@ -2,7 +2,7 @@
 """Profile the single-lane bridge on all three real runtimes.
 
 The bridge is the paper's running example; this script runs it on
-threads, actors, and coroutines with a :class:`repro.obs.Profiler`
+threads, actors, and coroutines with a :class:`repro.obs.Metrics`
 attached to each runtime's own primitives, then prints what the wall
 clock can't show: where the time went *inside* each runtime — lock
 contention and monitor waits for threads, mailbox latency and queue
@@ -16,7 +16,7 @@ Run:  python examples/runtime_showdown.py
 import time
 from statistics import median
 
-from repro.obs import Profiler
+from repro.obs import Metrics
 from repro.problems.single_lane_bridge import (run_actor_bridge,
                                                run_coroutine_bridge,
                                                run_threads_bridge)
@@ -42,7 +42,7 @@ HIGHLIGHTS = {
 def race(run) -> tuple[float, dict]:
     """Median wall of the profiled repetitions, and their profile."""
     run(cars=CARS, crossings=CROSSINGS)            # warm-up, unprofiled
-    profiler = Profiler()
+    profiler = Metrics()
     walls = []
     for _ in range(REPETITIONS):
         t0 = time.perf_counter()

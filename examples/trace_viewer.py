@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from repro.core import RandomPolicy, Scheduler
-from repro.obs import KernelMetrics
+from repro.obs import Metrics
 from repro.problems import kernel_program
 from repro.verify import explore
 
@@ -28,7 +28,7 @@ def main() -> None:
     # 1. one instrumented run (message passing: ping/pong round trips)
     # ------------------------------------------------------------------
     print("== 1. kernel metrics ==")
-    metrics = KernelMetrics()
+    metrics = Metrics()
     sched = Scheduler(RandomPolicy(7), raise_on_deadlock=False,
                       metrics=metrics)
     kernel_program("pingpong", rounds=3)(sched)

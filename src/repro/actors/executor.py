@@ -41,7 +41,7 @@ most one worker at a time.
 
 Observability: per-worker counters are plain ints (single writer each,
 torn reads impossible under the GIL) summed by :attr:`stats`; with a
-:class:`~repro.obs.profile.Profiler` attached the executor additionally
+:class:`~repro.obs.Metrics` attached the executor additionally
 emits ``executor.steals``, ``executor.parks`` and ``executor.local_hits``
 — all behind ``is None`` guards, so the hot path allocates nothing when
 profiling is off.

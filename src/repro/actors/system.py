@@ -304,7 +304,7 @@ class ActorSystem(ActorRuntime):
                  tracer: Optional[Any] = None):
         super().__init__(name, directive)
         self.throughput = throughput
-        #: optional :class:`repro.obs.Profiler` — mailbox latency/depth,
+        #: optional :class:`repro.obs.Metrics` — mailbox latency/depth,
         #: message throughput, executor steals/parks; None keeps the
         #: dispatch path untouched
         self.profiler = profiler

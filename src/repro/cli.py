@@ -228,9 +228,9 @@ def _run_problem(name: str, seed: int | None):
     """One instrumented run of a named kernel problem."""
     from .core.policy import RandomPolicy
     from .core.scheduler import Scheduler
-    from .obs import KernelMetrics
+    from .obs import Metrics
     from .problems import kernel_program
-    metrics = KernelMetrics()
+    metrics = Metrics()
     policy = RandomPolicy(seed) if seed is not None else None
     sched = Scheduler(policy, raise_on_deadlock=False,
                       raise_on_failure=False, metrics=metrics)
@@ -509,7 +509,7 @@ def _demo_telemetry_cluster(interval: float, tracer=None):
     from .actors import Actor
     from .cluster.node import ClusterConfig, ClusterNode
     from .cluster.transport import LoopbackHub
-    from .obs.profile import Profiler
+    from .obs import Metrics
     from .obs.telemetry import TelemetryAgent
 
     class _Echo(Actor):
@@ -532,9 +532,9 @@ def _demo_telemetry_cluster(interval: float, tracer=None):
     hub = LoopbackHub()
     config = ClusterConfig(telemetry_interval=max(0.05, interval / 4))
     alpha = ClusterNode("alpha", hub.join("alpha"), config=config,
-                        workers=2, profiler=Profiler(), tracer=tracer)
+                        workers=2, profiler=Metrics(), tracer=tracer)
     beta = ClusterNode("beta", hub.join("beta"), config=config,
-                       workers=2, profiler=Profiler(), tracer=tracer)
+                       workers=2, profiler=Metrics(), tracer=tracer)
     agent = TelemetryAgent().attach(alpha)
     TelemetryAgent().attach(beta)
     alpha.connect("beta")

@@ -21,8 +21,7 @@ from .node import (ActorSignal, ClusterConfig, ClusterNode, PeerState,
                    register_actor_type)
 from .observe import (ClusterEvent, ClusterSaturationDetector,
                       SuspectLossDetector, cluster_bus, cluster_detectors,
-                      format_merged_profile, merge_chrome_traces,
-                      merge_profiles)
+                      merge_chrome_traces, merge_profiles)
 from .transport import (FrameDecoder, LoopbackHub, LoopbackTransport,
                         SocketTransport, encode_frame)
 
@@ -43,5 +42,5 @@ __all__ = [
     # observability
     "ClusterEvent", "ClusterSaturationDetector", "SuspectLossDetector",
     "cluster_detectors", "cluster_bus", "merge_profiles",
-    "format_merged_profile", "merge_chrome_traces",
+    "merge_chrome_traces",
 ]

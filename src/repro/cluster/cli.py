@@ -50,7 +50,7 @@ def _client(args: argparse.Namespace) -> "Any":
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from ..obs.profile import Profiler
+    from ..obs import Metrics
     from . import demo  # noqa: F401 - registers the demo actor types
     from .message import serializer
     from .node import ClusterNode
@@ -59,7 +59,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     transport = SocketTransport(args.name, host=args.host, port=args.port)
     node = ClusterNode(args.name, transport,
                        serializer=serializer(args.serializer),
-                       workers=args.workers, profiler=Profiler(),
+                       workers=args.workers, profiler=Metrics(),
                        trace=args.trace)
     if args.telemetry:
         from ..obs.telemetry import TelemetryAgent

@@ -10,11 +10,11 @@ Three pieces let the PR 2–4 tooling see through process boundaries:
   lock/mailbox interpretation meant for kernel events — only detectors
   that understand ``cluster-*`` kinds react to it.
 * :func:`merge_profiles` / :func:`merge_chrome_traces` — fold per-node
-  :class:`~repro.obs.profile.Profiler` snapshots into one report
-  (counters sum, gauges max, histograms stay per-node — percentiles do
-  not merge) and per-node event logs into one Chrome trace where each
-  node is a ``pid`` and send→receive pairs become flow arrows that
-  survive the process boundary.  Cluster timestamps are ``time.time()``
+  :class:`~repro.obs.Metrics` snapshots into one snapshot-shaped
+  report (counters sum, gauges max, histograms stay per-node —
+  percentiles do not merge) and per-node event logs into one Chrome
+  trace where each node is a ``pid`` and send→receive pairs become
+  flow arrows that survive the process boundary.  Cluster timestamps are ``time.time()``
   on purpose: wall clocks are comparable across same-host processes,
   ``perf_counter`` is not.
 * :class:`ClusterSaturationDetector` / :class:`SuspectLossDetector` —
@@ -32,8 +32,7 @@ from ..obs.monitors import Detector, Hazard, MonitorBus
 
 __all__ = ["ClusterEvent", "ClusterSaturationDetector",
            "SuspectLossDetector", "cluster_detectors", "cluster_bus",
-           "merge_profiles", "format_merged_profile",
-           "merge_chrome_traces"]
+           "merge_profiles", "merge_chrome_traces"]
 
 
 class ClusterEvent:
@@ -247,7 +246,9 @@ def merge_profiles(snapshots: dict[str, dict]) -> dict[str, Any]:
     Counters sum and gauges max across nodes (both are well-defined
     under union); histogram *percentiles* are not mergeable from
     snapshots, so histograms keep their numbers per node under
-    ``node:name`` keys rather than pretending p99s add up.
+    ``node:name`` keys rather than pretending p99s add up.  The result
+    is snapshot-shaped, so :func:`~repro.obs.metrics.format_snapshot`
+    renders it.
     """
     counters: dict[str, float] = {}
     gauges: dict[str, float] = {}
@@ -262,27 +263,6 @@ def merge_profiles(snapshots: dict[str, dict]) -> dict[str, Any]:
             histograms[f"{node}:{name}"] = stats
     return {"nodes": sorted(snapshots), "counters": counters,
             "gauges": gauges, "histograms": histograms}
-
-
-def format_merged_profile(merged: dict[str, Any]) -> str:
-    """Human-readable rendering of a :func:`merge_profiles` result."""
-    lines = [f"cluster profile ({', '.join(merged['nodes'])})"]
-    if merged["counters"]:
-        lines.append("  counters:")
-        for name in sorted(merged["counters"]):
-            lines.append(f"    {name:<34} {merged['counters'][name]:>12g}")
-    if merged["gauges"]:
-        lines.append("  gauges (max over nodes):")
-        for name in sorted(merged["gauges"]):
-            lines.append(f"    {name:<34} {merged['gauges'][name]:>12g}")
-    if merged["histograms"]:
-        lines.append("  histograms (per node):")
-        for name in sorted(merged["histograms"]):
-            h = merged["histograms"][name]
-            lines.append(
-                f"    {name:<34} n={h['count']:<7} mean={h['mean']:<10.1f}"
-                f" p95={h['p95']:<10.1f} max={h['max']:<10.1f}")
-    return "\n".join(lines)
 
 
 # ===========================================================================

@@ -25,7 +25,7 @@ import inspect
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..obs.metrics import KernelMetrics
+    from ..obs.metrics import Metrics
     from ..obs.monitors import MonitorBus
 
 from .clock import VectorClock
@@ -91,11 +91,13 @@ class Scheduler:
         the run with outcome ``"pruned"`` (the explorer's
         state-fingerprint cut-off).
     metrics:
-        Optional :class:`repro.obs.KernelMetrics` sink.  When given,
-        the scheduler records counters/gauges/histograms (context
-        switches, lock contention and wait ticks, mailbox depth,
-        message latency, per-task run/block ticks) as it executes.
-        The scheduler reads it once per step; when None (default) the
+        Optional :class:`repro.obs.Metrics` sink.  When given, the
+        scheduler records counters/gauges/histograms (context switches,
+        lock contention and wait ticks, mailbox depth, message latency,
+        per-task run/block ticks) as it executes, all in logical ticks:
+        it never reads the registry's clock, so the same schedule
+        always reports the same numbers.  The scheduler reads it once
+        per step; when None (default) the
         only cost is testing that local — instrumentation never changes
         scheduling decisions.
     monitors:
@@ -123,7 +125,7 @@ class Scheduler:
                  track_clocks: bool = True,
                  record_from: Optional[int] = None,
                  step_hook: Optional[Callable[["Scheduler"], bool]] = None,
-                 metrics: Optional["KernelMetrics"] = None,
+                 metrics: Optional["Metrics"] = None,
                  monitors: Optional["MonitorBus"] = None):
         self.policy = policy or RoundRobinPolicy()
         self.raise_on_deadlock = raise_on_deadlock
@@ -135,6 +137,9 @@ class Scheduler:
         self._recording = record_from == 0
         self.step_hook = step_hook
         self.metrics = metrics
+        #: envelope seq -> deposit step of in-flight messages (metrics
+        #: only: the message-latency histogram)
+        self._sent_at: dict[int, int] = {}
         self.monitors = monitors
         #: optional program-provided callable exposing shared state to
         #: :meth:`fingerprint` (set it inside the program callable)
@@ -400,7 +405,7 @@ class Scheduler:
             if m is not None:
                 m.inc("messages_delivered")
                 m.inc(f"mailbox.{mailbox.name}.delivered")
-                sent_at = m._sent_at.pop(env.seq, None)
+                sent_at = self._sent_at.pop(env.seq, None)
                 if sent_at is not None:
                     m.observe("message_latency_ticks",
                               self._step_no - sent_at)
@@ -491,7 +496,7 @@ class Scheduler:
     # effect interpretation: one dispatch on the effect's type
     # ------------------------------------------------------------------
     def _apply_effect(self, task: Task, effect: Effect,
-                      m: Optional["KernelMetrics"]) -> str:
+                      m: Optional["Metrics"]) -> str:
         handler = _EFFECT_HANDLERS.get(type(effect))
         if handler is None:
             # a subclass of an effect type takes its base's handler
@@ -588,7 +593,7 @@ class Scheduler:
             m.observe("mailbox_depth", depth)
             m.gauge_max("mailbox_depth_max", depth)
             m.gauge_max(f"mailbox.{mailbox.name}.depth_max", depth)
-            m._sent_at[env.seq] = self._step_no
+            self._sent_at[env.seq] = self._step_no
         return f"send {env.message!r} to {mailbox.name}"
 
     def _on_receive(self, task: Task, effect: Receive, m) -> str:
@@ -648,7 +653,7 @@ class Scheduler:
         # only read when metrics are attached (block and lock-wait ticks)
         task._blocked_at_step = self._step_no
 
-    def _unblock(self, task: Task, m: Optional["KernelMetrics"]) -> None:
+    def _unblock(self, task: Task, m: Optional["Metrics"]) -> None:
         if m is not None:
             blocked_at = task._blocked_at_step
             if blocked_at is not None:
@@ -665,7 +670,7 @@ class Scheduler:
             task.vclock = task.vclock.merge(other)
 
     def _finish(self, task: Task, result: Any,
-                m: Optional["KernelMetrics"]) -> None:
+                m: Optional["Metrics"]) -> None:
         task.state = _DONE
         task.result = result
         self._live -= 1
@@ -678,7 +683,7 @@ class Scheduler:
         task.joiners.clear()
 
     def _fail(self, task: Task, exc: BaseException,
-              m: Optional["KernelMetrics"]) -> None:
+              m: Optional["Metrics"]) -> None:
         task.state = _FAILED
         task.error = exc
         self._live -= 1

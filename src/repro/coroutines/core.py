@@ -95,7 +95,7 @@ class Coroutine:
         self.result: Any = None          # body's return value once DEAD
         #: value passed to the first resume (Lua would pass it as args)
         self.first_value: Any = None
-        #: optional :class:`repro.obs.Profiler` — per-resume wall time
+        #: optional :class:`repro.obs.Metrics` — per-resume wall time
         self.profiler = profiler
 
     # ------------------------------------------------------------------

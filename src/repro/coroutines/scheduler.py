@@ -130,29 +130,26 @@ class _Observer:
 
     def __init__(self, sched: "CoScheduler") -> None:
         self.sched, self.bus = sched, sched.monitors
-        self.metrics, self.prof, self.trc = (
-            sched.metrics, sched.profiler, sched.tracer)
+        self.prof, self.trc = sched.profiler, sched.tracer
         self.last: Optional[CoTask] = None   # for context-switch counting
         self.ready_names: tuple = ()
 
     def resume(self, task: CoTask) -> Any:
         """``task.gen.send(None)``, observed around the send; the marker
         it yields is observed before the loop acts on it."""
-        m, prof, trc = self.metrics, self.prof, self.trc
-        if m is not None:
-            m.inc("steps")
+        prof, trc = self.prof, self.trc
+        if prof is not None:
+            t0 = prof.now()
+            prof.inc("coro.resumes")
             if self.last is not None and self.last is not task:
-                m.inc("context_switches")
+                prof.inc("context_switches")
             self.last = task
-            m.task_add(task.name, "steps", 1)
+            prof.task_add(task.name, "steps", 1)
+            prof.observe_us("coro.ready_wait_us", t0 - task.ready_at)
         if self.bus is not None:
             # runnable set at choice time: the stepped task + the queue
             self.ready_names = (task.name,) + tuple(
                 t.name for t in self.sched.ready)
-        if prof is not None:
-            t0 = prof.now()
-            prof.inc("coro.resumes")
-            prof.observe_us("coro.ready_wait_us", t0 - task.ready_at)
         tctx = task.ctx if trc is not None else None
         if tctx is not None:
             # resume under the task's context; the closed span becomes
@@ -170,15 +167,16 @@ class _Observer:
                 prof.observe_us("coro.resume_us", prof.now() - t0)
         cls = marker.__class__
         if cls is _Park:
-            self._count("parks", "coro.parks", 1)
+            if prof is not None:
+                prof.inc("coro.parks")
             self._feed(task, "park")
         elif cls is _Join:
             self._feed(task, f"join {marker.task.name}")
         elif cls is _Pause or cls is _Wake or marker is None:
             woken = marker.waitlist[:marker.count] if cls is _Wake else []
-            if woken:
-                self._count("wakes", "coro.wakes", len(woken))
             if prof is not None:   # back in the ready queue
+                if woken:
+                    prof.inc("coro.wakes", len(woken))
                 now = prof.now()
                 for t in (task, *woken):
                     t.ready_at = now
@@ -188,21 +186,15 @@ class _Observer:
 
     def finished(self, task: CoTask) -> None:
         err = task.error
-        if self.metrics is not None:
-            self.metrics.inc("tasks_failed" if err is not None
-                             else "tasks_finished")
-        if self.prof is not None and task.joiners:
-            now = self.prof.now()
-            for j in task.joiners:
-                j.ready_at = now
+        prof = self.prof
+        if prof is not None:
+            prof.inc("tasks_failed" if err is not None else "tasks_finished")
+            if task.joiners:
+                now = prof.now()
+                for j in task.joiners:
+                    j.ready_at = now
         self._feed(task, "return" if err is None
                    else f"raise {type(err).__name__}")
-
-    def _count(self, metric: str, counter: str, n: int) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(metric, n)
-        if self.prof is not None:
-            self.prof.inc(counter, n)
 
     def _feed(self, task: Optional[CoTask], desc: str,
               ready: Optional[tuple] = None, kind: str = "run",
@@ -220,11 +212,14 @@ class _Observer:
 class CoScheduler:
     """Round-robin driver for cooperative tasks.
 
-    ``metrics`` takes an optional :class:`repro.obs.KernelMetrics`;
-    when provided, the scheduler maintains ``steps``,
-    ``context_switches``, ``parks``, ``wakes``, ``tasks_spawned``,
-    ``tasks_finished`` and per-task step counts — logical quantities
-    only, so snapshots are identical across runs of the same program.
+    ``profiler`` takes an optional :class:`repro.obs.Metrics`; when
+    provided, the scheduler records each event once: ``coro.resumes``,
+    ``context_switches``, ``coro.parks``, ``coro.wakes``,
+    ``tasks_spawned``, ``tasks_finished``/``tasks_failed`` and per-task
+    step counts, plus the wall-clock ``coro.resume_us`` and
+    ``coro.ready_wait_us`` (ready-queue residency) read through the
+    registry's clock — inject a :class:`repro.obs.FakeClock` and two
+    runs of the same program report identical snapshots.
 
     ``monitors`` takes an optional :class:`repro.obs.MonitorBus`: each
     step is synthesized into a kernel-shaped
@@ -236,23 +231,19 @@ class CoScheduler:
     :meth:`run_until` does not (the run is intentionally partial).
     """
 
-    def __init__(self, metrics: Optional[Any] = None,
-                 monitors: Optional[Any] = None,
+    def __init__(self, monitors: Optional[Any] = None,
                  profiler: Optional[Any] = None,
                  tracer: Optional[Any] = None) -> None:
         self.ready: deque[CoTask] = deque()
         self.tasks: list[CoTask] = []
         self.steps = 0
-        self.metrics = metrics
         self.monitors = monitors
-        #: optional :class:`repro.obs.Profiler` — wall-clock resume
-        #: latency and ready-queue residency (``metrics`` stays logical)
         self.profiler = profiler
         #: optional :class:`repro.obs.causal.CausalTracer` — each resume
         #: runs under the context captured at spawn (``coro-resume`` span)
         self.tracer = tracer
         #: the sinks, fixed from here on, as one observer (None if unset)
-        sinks = (metrics, monitors, profiler, tracer)
+        sinks = (monitors, profiler, tracer)
         self._obs = None if all(x is None for x in sinks) else _Observer(self)
         #: the task whose slice is running (channel taps attribute to it)
         self.current: Optional[CoTask] = None
@@ -267,10 +258,9 @@ class CoScheduler:
         self.ready.append(task)
         if self.profiler is not None:
             task.ready_at = self.profiler.now()
+            self.profiler.inc("tasks_spawned")
         if self.tracer is not None:
             task.ctx = self.tracer.current()
-        if self.metrics is not None:
-            self.metrics.inc("tasks_spawned")
         return task
 
     # ------------------------------------------------------------------

@@ -4,11 +4,13 @@ The paper's pedagogy rests on making interleavings *visible*: students
 fail the Test-1 bridge questions precisely because they cannot see which
 schedules are reachable.  This subsystem makes every layer observable:
 
-* :class:`KernelMetrics` — counters / high-water gauges / histograms the
-  scheduler fills in while it runs (context switches, lock contention
-  and wait times, mailbox depth, message latency, per-task run/block
-  time — all in deterministic logical ticks, so two runs of the same
-  schedule report identical numbers);
+* :class:`Metrics` — the one counter / high-water gauge / histogram
+  registry: the kernel scheduler fills it in logical ticks (context
+  switches, lock contention and wait times, mailbox depth, message
+  latency, per-task run/block time — two runs of the same schedule
+  report identical numbers), the real runtimes in wall-clock
+  microseconds read through its clock (:data:`wall_clock`, or
+  :class:`FakeClock` in tests);
 * :func:`chrome_trace` / :func:`jsonl_events` — export any
   :class:`~repro.core.trace.Trace` as Chrome ``trace_event`` JSON (one
   lane per task, flow arrows for message send→receive; opens in
@@ -51,8 +53,8 @@ from .explain import (CriticalPair, Explanation, explain_hazard,
                       explain_program, explain_trace, find_critical_pair,
                       minimize_schedule, postmortem_narrative)
 from .export import chrome_trace, jsonl_events
-from .metrics import Histogram, KernelMetrics
-from .profile import FakeClock, Profiler, wall_clock
+from .metrics import (FakeClock, Histogram, Metrics, format_snapshot,
+                      wall_clock)
 from .monitors import (DeadlockDetector, Detector, FailureDetector, Hazard,
                        KernelView, LostWakeupDetector, MessageOrderDetector,
                        MonitorBus, RaceDetector, StarvationDetector,
@@ -67,8 +69,8 @@ from .telemetry import (SLO, Aggregator, Alert, FlightRecorder, SLOEngine,
                         render_top)
 
 __all__ = [
-    "Histogram", "KernelMetrics", "chrome_trace", "jsonl_events",
-    "Profiler", "FakeClock", "wall_clock",
+    "Histogram", "Metrics", "format_snapshot", "chrome_trace",
+    "jsonl_events", "FakeClock", "wall_clock",
     "Hazard", "KernelView", "Detector", "MonitorBus",
     "DeadlockDetector", "LostWakeupDetector", "StarvationDetector",
     "MessageOrderDetector", "RaceDetector", "FailureDetector",

@@ -53,7 +53,7 @@ import threading
 from collections import deque
 from typing import Any, Callable, Iterable, Optional
 
-from .profile import wall_clock
+from .metrics import wall_clock
 
 __all__ = [
     "RequestContext", "CausalTracer", "DEFAULT_HOP_BUDGET",

@@ -1,40 +1,99 @@
-"""Metric primitives and the kernel's metric set.
+"""The metrics registry every runtime writes into, and its primitives.
 
-Everything is measured in *logical ticks* (scheduler step numbers), not
-wall-clock time: the kernel is deterministic, so the same schedule must
-always report the same numbers — that is what makes metrics usable as
-regression oracles, and it is asserted by the metrics-determinism tests.
+One :class:`Metrics` type serves the kernel and every real runtime;
+what a run's numbers mean depends only on who writes them:
 
-Metric names the scheduler emits (see docs/ARCHITECTURE.md,
-"Observability", for full semantics):
+* the kernel's :class:`~repro.core.scheduler.Scheduler` (``metrics=``)
+  writes *logical ticks* (scheduler step numbers) and never reads the
+  registry's clock, so the same schedule always reports the same
+  numbers — that is what makes kernel metrics usable as regression
+  oracles;
+* the real runtimes — threads, actors, coroutines, the cluster node
+  (``profiler=``) — bracket work with :meth:`Metrics.now` and record
+  wall-clock durations in microseconds with :meth:`Metrics.observe_us`.
 
-=========================  =============================================
-``steps``                  executed scheduler transitions
-``context_switches``       steps where a different task ran than before
-``lock_acquires``          lock/monitor grants (immediate or after park)
-``lock_contended``         Acquire effects that had to park
-``lock_releases``          Release effects executed
-``monitor_waits``          Wait effects (task joined a condition queue)
-``monitor_notifies``       Notify effects
-``messages_sent``          Send effects deposited into a mailbox
-``messages_delivered``     deliver transitions (message entered a task)
-``tasks_spawned``          tasks registered with the scheduler
-``tasks_finished``         tasks that returned
-``tasks_failed``           tasks that raised
-=========================  =============================================
+The clock is **the** wall-clock seam for the obs layer: tests inject
+:class:`FakeClock` and get deterministic latencies, and nothing in
+``repro.obs`` calls ``time.*`` directly except :data:`wall_clock`.
+Instrumentation is strictly opt-in: every instrumented primitive takes
+``None`` by default and its hot path pays one ``is None`` test — no
+allocation, no call — when nothing is attached.
 
-Per-object variants use dotted keys (``lock.<name>.acquires``,
-``mailbox.<name>.sent`` …).  Histograms: ``lock_wait_ticks``,
-``message_latency_ticks``, ``mailbox_depth``, ``enabled_fanout``,
-``block_ticks``.  High-water gauges: ``mailbox_depth_max``,
-``mailbox.<name>.depth_max``.
+:data:`METRIC_NAMES` lists every name the instrumented code emits
+(see docs/OBSERVABILITY.md for their semantics).  Per-object kernel
+families are ``fnmatch`` patterns: ``lock.*.acquires`` covers
+``lock.buffer.acquires``.  Histogram names carry their unit
+(``_ticks``, ``_us``) unless they hold a raw size or depth.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+import threading
+import time
+from typing import Any, Callable, Optional
 
-__all__ = ["Histogram", "KernelMetrics"]
+__all__ = ["Histogram", "Metrics", "FakeClock", "wall_clock",
+           "format_snapshot", "METRIC_NAMES"]
+
+#: the obs layer's single source of wall-clock time
+wall_clock: Callable[[], float] = time.perf_counter
+
+#: every metric name the instrumented code emits, by writer
+METRIC_NAMES: tuple[str, ...] = (
+    # kernel scheduler (logical ticks) — the coroutine scheduler shares
+    # context_switches and the tasks_* counters
+    "steps", "context_switches", "enabled_fanout",
+    "lock_acquires", "lock_contended", "lock_releases", "lock_wait_ticks",
+    "lock.*.acquires", "lock.*.contended",
+    "monitor_waits", "monitor_notifies",
+    "messages_sent", "messages_delivered", "message_latency_ticks",
+    "mailbox_depth", "mailbox_depth_max",
+    "mailbox.*.sent", "mailbox.*.delivered", "mailbox.*.depth_max",
+    "block_ticks", "tasks_spawned", "tasks_finished", "tasks_failed",
+    # threads
+    "lock.acquires", "lock.contended", "lock.wait_us",
+    "monitor.waits", "monitor.wakeups", "monitor.notifies",
+    "monitor.wait_us",
+    "thread.started", "thread.finished", "thread.start_latency_us",
+    "pool.tasks", "pool.task_us",
+    # actors
+    "mailbox.enqueued", "mailbox.processed", "mailbox.latency_us",
+    "mailbox.depth", "mailbox.depth_max", "mailbox.batch_size",
+    "executor.steals", "executor.parks", "executor.local_hits",
+    # coroutines
+    "coro.resumes", "coro.resume_us", "coro.ready_wait_us",
+    "coro.parks", "coro.wakes",
+    "coroutine.resumes", "coroutine.resume_us",
+    # cluster node
+    "cluster.sent", "cluster.delivered", "cluster.local_fastpath",
+    "cluster.mailbox_depth_max", "cluster.frames_out", "cluster.bytes_out",
+    "cluster.frames_in", "cluster.bytes_in", "cluster.duplicates",
+    "cluster.decode_errors", "cluster.retries", "cluster.dead_letters",
+    "cluster.parks", "cluster.credit_wait_us", "cluster.staged",
+    "cluster.resumes", "cluster.suspects", "cluster.downs",
+    "cluster.telemetry_out", "cluster.telemetry_errors",
+    "cluster.tick_errors",
+)
+
+
+class FakeClock:
+    """Deterministic clock for tests: each call advances by ``step``.
+
+    ``FakeClock(step=0.001)()`` returns 0.0, 0.001, 0.002, ... — so any
+    code path that brackets work with two clock reads measures exactly
+    ``step`` seconds, run after run.
+    """
+
+    def __init__(self, step: float = 0.001, start: float = 0.0):
+        self.step = step
+        self.t = start
+        self.calls = 0
+
+    def __call__(self) -> float:
+        value = self.t
+        self.t += self.step
+        self.calls += 1
+        return value
 
 
 class Histogram:
@@ -160,85 +219,163 @@ class Histogram:
                 f"min={self.min} max={self.max}>")
 
 
-class KernelMetrics:
-    """Counter/gauge/histogram sink one scheduler run writes into.
+class Metrics:
+    """Counter/gauge/histogram registry one run writes into.
 
-    Create one, pass it as ``Scheduler(metrics=...)``, read
-    :meth:`snapshot` after the run.  A fresh instance per run keeps the
-    numbers comparable across runs; sharing one instance across runs
-    accumulates (useful for exploration-wide totals).
+    Create one, pass it to what you measure (``Scheduler(metrics=...)``,
+    ``Monitor(profiler=...)``, ``ActorSystem(profiler=...)``,
+    ``CoScheduler(profiler=...)`` ...) and read :meth:`snapshot` when
+    the workload finishes.  A fresh instance per run keeps the numbers
+    comparable across runs; sharing one accumulates.  Thread-safe: every
+    writer and reader holds one internal lock, so a snapshot racing
+    concurrent records never sees a torn histogram (a count that does
+    not match its total) or a counter mid-increment — the telemetry
+    agent reads :meth:`delta` from the cluster timer thread while
+    dispatch workers record.
     """
 
-    __slots__ = ("counters", "gauges", "histograms", "per_task", "_sent_at")
+    __slots__ = ("clock", "counters", "gauges", "histograms", "per_task",
+                 "_lock")
 
-    def __init__(self) -> None:
+    def __init__(self, clock: Callable[[], float] = wall_clock):
+        self.clock = clock
         self.counters: dict[str, int] = {}
         #: high-water marks (monotone max)
-        self.gauges: dict[str, int] = {}
+        self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
         #: task name -> {"steps": int, "block_ticks": int}
         self.per_task: dict[str, dict[str, int]] = {}
-        #: envelope seq -> deposit step (in-flight messages, latency calc)
-        self._sent_at: dict[int, int] = {}
+        self._lock = threading.Lock()
 
-    # -- writers (called from the scheduler hot path) -------------------
+    # -- writers (called from hot paths, only when attached) ------------
+    def now(self) -> float:
+        return self.clock()
+
     def inc(self, name: str, delta: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + delta
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + delta
 
-    def gauge_max(self, name: str, value: int) -> None:
-        if value > self.gauges.get(name, 0):
-            self.gauges[name] = value
+    def gauge_max(self, name: str, value: float) -> None:
+        with self._lock:
+            if value > self.gauges.get(name, 0):
+                self.gauges[name] = value
 
-    def observe(self, name: str, value: int) -> None:
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram()
-        hist.record(value)
+    def observe(self, name: str, value: float) -> None:
+        """Record a raw value (ticks, depth, size ...) into a histogram."""
+        with self._lock:
+            hist = self.histograms.get(name)
+            if hist is None:
+                hist = self.histograms[name] = Histogram()
+            hist.record(value)
+
+    def observe_us(self, name: str, seconds: float) -> None:
+        """Record a duration given in seconds, stored as microseconds."""
+        self.observe(name, seconds * 1e6)
 
     def task_add(self, task_name: str, field: str, delta: int) -> None:
-        stats = self.per_task.get(task_name)
-        if stats is None:
-            stats = self.per_task[task_name] = {"steps": 0, "block_ticks": 0}
-        stats[field] = stats.get(field, 0) + delta
+        with self._lock:
+            stats = self.per_task.get(task_name)
+            if stats is None:
+                stats = self.per_task[task_name] = {"steps": 0,
+                                                    "block_ticks": 0}
+            stats[field] = stats.get(field, 0) + delta
 
     # -- readers --------------------------------------------------------
     def get(self, name: str) -> int:
-        return self.counters.get(name, 0)
+        with self._lock:
+            return self.counters.get(name, 0)
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready view of everything collected (deterministic order)."""
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "histograms": {k: h.snapshot()
-                           for k, h in sorted(self.histograms.items())},
-            "per_task": {k: dict(v)
-                         for k, v in sorted(self.per_task.items())},
-        }
+        with self._lock:
+            return {
+                "counters": dict(sorted(self.counters.items())),
+                "gauges": dict(sorted(self.gauges.items())),
+                "histograms": {k: h.snapshot()
+                               for k, h in sorted(self.histograms.items())},
+                "per_task": {k: dict(v)
+                             for k, v in sorted(self.per_task.items())},
+            }
+
+    def delta(self, cursor: dict, max_samples: int = 256) -> dict:
+        """Changed-since-cursor view for the telemetry wire format.
+
+        ``cursor`` is caller-owned state (start with ``{}``) updated in
+        place; each call returns only what moved since the previous one:
+
+        * ``counters``/``gauges`` — the *cumulative* value of every key
+          that changed (cumulative, not differenced, so a lost telemetry
+          frame only delays an update instead of corrupting totals);
+        * ``hists`` — per histogram with new samples: cumulative
+          ``count``/``total``/``min``/``max`` plus the new samples in
+          insertion order, stride-downsampled to ``max_samples`` (the
+          cumulative fields stay exact even when samples are thinned).
+
+        The whole view is taken under the registry lock, so the
+        count/total/samples triple of one histogram is never torn by a
+        concurrent ``record()``.
+        """
+        seen_counters = cursor.setdefault("counters", {})
+        seen_gauges = cursor.setdefault("gauges", {})
+        seen_hist = cursor.setdefault("hists", {})
+        with self._lock:
+            counters = {}
+            for name, value in self.counters.items():
+                if seen_counters.get(name) != value:
+                    seen_counters[name] = counters[name] = value
+            gauges = {}
+            for name, value in self.gauges.items():
+                if seen_gauges.get(name) != value:
+                    seen_gauges[name] = gauges[name] = value
+            hists = {}
+            for name, h in self.histograms.items():
+                start = seen_hist.get(name, 0)
+                if h.count <= start:
+                    continue
+                new = h.samples_since(start)
+                if len(new) > max_samples:
+                    stride = len(new) / max_samples
+                    new = [new[int(i * stride)] for i in range(max_samples)]
+                hists[name] = {
+                    "count": h.count, "total": h.total,
+                    "min": h.min, "max": h.max,
+                    "samples": [round(float(s), 3) for s in new],
+                }
+                seen_hist[name] = h.count
+            return {"counters": counters, "gauges": gauges, "hists": hists}
 
     def format(self) -> str:
         """Human-readable table of the snapshot (the ``repro stats`` view)."""
-        lines = ["counters:"]
-        for name, value in sorted(self.counters.items()):
-            lines.append(f"  {name:<32} {value}")
-        if self.gauges:
-            lines.append("gauges (high water):")
-            for name, value in sorted(self.gauges.items()):
-                lines.append(f"  {name:<32} {value}")
-        if self.histograms:
-            lines.append("histograms (logical ticks):")
-            for name, hist in sorted(self.histograms.items()):
-                lines.append(
-                    f"  {name:<32} n={hist.count} min={hist.min} "
-                    f"max={hist.max} mean={hist.mean:.2f} "
-                    f"p50={hist.p50} p95={hist.p95} p99={hist.p99}")
-        if self.per_task:
-            lines.append("per task:")
-            for name, stats in sorted(self.per_task.items()):
-                lines.append(f"  {name:<32} steps={stats.get('steps', 0)} "
-                             f"block_ticks={stats.get('block_ticks', 0)}")
-        return "\n".join(lines)
+        return format_snapshot(self.snapshot())
 
     def __repr__(self) -> str:
-        return (f"<KernelMetrics {len(self.counters)} counters, "
+        return (f"<Metrics {len(self.counters)} counters, "
                 f"{len(self.histograms)} histograms>")
+
+
+def format_snapshot(snap: dict[str, Any]) -> str:
+    """Render a :meth:`Metrics.snapshot`-shaped dict as a table — one
+    registry's, or several merged by
+    :func:`~repro.cluster.observe.merge_profiles`."""
+    lines = []
+    if snap.get("counters"):
+        lines.append("counters:")
+        for name, value in sorted(snap["counters"].items()):
+            lines.append(f"  {name:<32} {value:g}")
+    if snap.get("gauges"):
+        lines.append("gauges (high water):")
+        for name, value in sorted(snap["gauges"].items()):
+            lines.append(f"  {name:<32} {value:g}")
+    if snap.get("histograms"):
+        lines.append("histograms:")
+        for name, h in sorted(snap["histograms"].items()):
+            lines.append(
+                f"  {name:<32} n={h['count']} min={h['min']:g} "
+                f"mean={h['mean']:g} p50={h['p50']:g} p95={h['p95']:g} "
+                f"p99={h['p99']:g} max={h['max']:g}")
+    if snap.get("per_task"):
+        lines.append("per task:")
+        for name, stats in sorted(snap["per_task"].items()):
+            lines.append(f"  {name:<32} steps={stats.get('steps', 0)} "
+                         f"block_ticks={stats.get('block_ticks', 0)}")
+    return "\n".join(lines) or "(nothing recorded)"

@@ -7,7 +7,7 @@ layers:
 
 * :class:`TelemetryAgent` — attached to a :class:`ClusterNode`
   (``agent.attach(node)``), it snapshots the node's
-  :class:`~repro.obs.profile.Profiler` / ``executor_stats()`` / cluster
+  :class:`~repro.obs.Metrics` / ``executor_stats()`` / cluster
   delivery state at heartbeat cadence into **delta-encoded TELEMETRY
   frames** and broadcasts them to every ALIVE peer over the existing
   transport.  Frames are fire-and-forget but *loss-tolerant by
@@ -698,13 +698,9 @@ class TelemetryAgent:
 
     @staticmethod
     def _mailbox_depth(node: Any) -> int:
-        depth = 0
-        for ref in list(node._actors.values()):
-            try:
-                depth += ref.pending
-            except Exception:
-                pass
-        return depth
+        # every runtime a node hosts hands out ActorRefs whose
+        # ``pending`` is the len() of the cell's mailbox: it cannot raise
+        return sum(ref.pending for ref in list(node._actors.values()))
 
     # -- node callbacks -------------------------------------------------
     def on_tick(self, now: float) -> bool:

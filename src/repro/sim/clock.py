@@ -3,7 +3,7 @@
 A :class:`SimClock` is a plain callable returning virtual seconds, so
 it plugs straight into every clock seam the runtime already has:
 ``ClusterNode(clock=..., wall=...)``, ``CreditGate(clock=...)`` and
-``repro.obs.profile.wall_clock``.  Time only moves when the simulation
+``repro.obs.wall_clock``.  Time only moves when the simulation
 driver says so (:meth:`advance_to`), which is what makes retry
 backoff, heartbeat cadence and failure-detector thresholds schedulable
 decisions instead of wall-time races.

@@ -38,7 +38,7 @@ class JThread:
         self._thread = threading.Thread(
             target=self._bootstrap, name=self.name, daemon=daemon)
         self._started = False
-        #: optional :class:`repro.obs.Profiler` — start latency + counts
+        #: optional :class:`repro.obs.Metrics` — start latency + counts
         self.profiler = profiler
         #: optional :class:`repro.obs.causal.CausalTracer` — the
         #: starter's request context is captured at ``start()`` and

@@ -56,7 +56,7 @@ class Monitor:
         self.acquire_count = 0
         self.wait_count = 0
         self.notify_count = 0
-        #: optional :class:`repro.obs.Profiler` — lock wait times and
+        #: optional :class:`repro.obs.Metrics` — lock wait times and
         #: contention counts; None keeps every path allocation-free
         self.profiler = profiler
 

@@ -394,7 +394,7 @@ def explore(program: Program,
         callback must not mutate the stats object.
     clock:
         Time source for the wall-clock stats (default:
-        :data:`repro.obs.profile.wall_clock`).  Tests inject a
+        :data:`repro.obs.wall_clock`).  Tests inject a
         :class:`repro.obs.FakeClock` to make ``elapsed_seconds`` /
         ``decisions_per_sec`` deterministic; everything else about the
         exploration is already clock-free.
@@ -405,7 +405,7 @@ def explore(program: Program,
     reduce_set = _normalize_reduce(reduce)
     monitor_factory = _normalize_monitors(monitors)
     if clock is None:
-        from ..obs.profile import wall_clock
+        from ..obs.metrics import wall_clock
         clock = wall_clock
     t0 = clock()
     result = None

@@ -16,7 +16,7 @@ import pytest
 
 from repro.actors import Actor, ActorSystem, SupervisionDirective
 from repro.actors.executor import WorkStealingExecutor
-from repro.obs import Profiler
+from repro.obs import Metrics
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ class TestWorkStealingExecutor:
         assert hits == ["alive"]
 
     def test_profiler_counts_steals_and_parks(self):
-        prof = Profiler()
+        prof = Metrics()
         gate = threading.Event()
         with WorkStealingExecutor(workers=2, profiler=prof) as ex:
             for _ in range(16):
@@ -389,7 +389,7 @@ class TestDispatchProfiling:
             assert first.wait(timeout=5)
             for i in range(1, 6):                # backlog, no profiler
                 ref.tell(i)
-            prof = Profiler()
+            prof = Metrics()
             system.profiler = prof               # attach mid-run
             gate.set()
             assert system.drain(timeout=10)
@@ -400,7 +400,7 @@ class TestDispatchProfiling:
             system.shutdown()
 
     def test_batch_size_and_latency_observed(self):
-        prof = Profiler()
+        prof = Metrics()
         sink, done = [], threading.Event()
 
         class Staller(Actor):

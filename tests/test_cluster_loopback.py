@@ -553,9 +553,9 @@ class TestLocalFastPath:
 
     def test_remote_ref_to_own_node_skips_the_wire(self):
         from repro.cluster.node import RemoteRef
-        from repro.obs import Profiler
+        from repro.obs import Metrics
 
-        prof = Profiler()
+        prof = Metrics()
         node = self._solo(profiler=prof)
         try:
             rec = node.spawn(Recorder, name="rec")
@@ -625,9 +625,9 @@ class TestLocalFastPath:
         """Request/reply where both parties address each other through
         cluster paths on one node — both directions take the fast path."""
         from repro.cluster.node import RemoteRef
-        from repro.obs import Profiler
+        from repro.obs import Metrics
 
-        prof = Profiler()
+        prof = Metrics()
         node = self._solo(profiler=prof)
         try:
             node.spawn(Replier, name="rep")

@@ -23,11 +23,10 @@ from repro.cluster.observe import (
     ClusterEvent,
     ClusterSaturationDetector,
     SuspectLossDetector,
-    format_merged_profile,
     merge_chrome_traces,
     merge_profiles,
 )
-from repro.obs import Profiler
+from repro.obs import Metrics, format_snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -92,18 +91,18 @@ def test_flow_ids_stable_across_hash_randomization():
 # ---------------------------------------------------------------------------
 
 def _snapshot(**counters):
-    p = Profiler()
+    p = Metrics()
     for name, n in counters.items():
         p.inc(name.replace("_", "."), n)
     return p.snapshot()
 
 
 def test_merge_profiles_sums_counters_and_namespaces_histograms():
-    a = Profiler()
+    a = Metrics()
     a.inc("cluster.sent", 10)
     a.gauge_max("cluster.mailbox_depth_max", 5)
     a.observe_us("cluster.credit_wait_us", 0.001)
-    b = Profiler()
+    b = Metrics()
     b.inc("cluster.sent", 7)
     b.inc("cluster.delivered", 17)
     b.gauge_max("cluster.mailbox_depth_max", 9)
@@ -115,7 +114,7 @@ def test_merge_profiles_sums_counters_and_namespaces_histograms():
     assert merged["gauges"]["cluster.mailbox_depth_max"] == 9   # maxed
     # histograms keep their node prefix: percentiles don't merge
     assert any(k.startswith("driver:") for k in merged["histograms"])
-    text = format_merged_profile(merged)
+    text = format_snapshot(merged)
     assert "driver" in text and "cluster.sent" in text
 
 
@@ -205,8 +204,8 @@ def test_status_pulls_coherent_under_pingpong_storm():
     from repro.obs.telemetry import TelemetryAgent
 
     hub = LoopbackHub()
-    a = ClusterNode("a", hub.join("a"), profiler=Profiler(), workers=2)
-    b = ClusterNode("b", hub.join("b"), profiler=Profiler(), workers=2)
+    a = ClusterNode("a", hub.join("a"), profiler=Metrics(), workers=2)
+    b = ClusterNode("b", hub.join("b"), profiler=Metrics(), workers=2)
     TelemetryAgent().attach(a)
     TelemetryAgent().attach(b)
     a.connect("b")

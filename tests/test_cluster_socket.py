@@ -25,7 +25,7 @@ from repro.cluster import (
     register_actor_type,
 )
 from repro.cluster.demo import BENCH_CONFIG, Echo, Pinger, spawn_worker
-from repro.obs import Histogram, Profiler
+from repro.obs import Histogram, Metrics
 
 pytestmark = pytest.mark.cluster
 
@@ -73,11 +73,11 @@ def test_two_nodes_over_tcp_roundtrip():
 
 
 def test_ephemeral_client_needs_no_listener():
-    from repro.obs import Profiler
+    from repro.obs import Metrics
 
     server = ClusterNode("server", SocketTransport("server"),
                          serializer=PickleSerializer(),
-                         profiler=Profiler())
+                         profiler=Metrics())
     client = ClusterNode("client",
                          SocketTransport("client", listen=False),
                          serializer=PickleSerializer())
@@ -178,7 +178,7 @@ def _socket_cell(setup):
     driver = ClusterNode(
         "driver", SocketTransport("driver", listen=False),
         serializer=PickleSerializer(), config=BENCH_CONFIG,
-        profiler=Profiler(), workers=4)
+        profiler=Metrics(), workers=4)
     try:
         driver.connect("worker", ("127.0.0.1", port))
         walls = _timed_walls(setup(driver))
@@ -219,7 +219,7 @@ def _socket_bridge(driver):
 def _local_cell():
     """Pinger/echo pairs on one loopback node, every tell path-addressed
     so it resolves to the local fast path; returns (walls, profile)."""
-    profiler = Profiler()
+    profiler = Metrics()
     node = ClusterNode("solo", LoopbackHub().join("solo"),
                        serializer=PickleSerializer(), config=BENCH_CONFIG,
                        profiler=profiler, workers=4)

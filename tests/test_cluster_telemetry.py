@@ -16,7 +16,7 @@ import json
 
 from repro.actors import Actor
 from repro.cluster import ClusterConfig, ClusterNode, LoopbackHub
-from repro.obs import MonitorBus, Profiler
+from repro.obs import Metrics, MonitorBus
 from repro.obs.telemetry import SLO, TelemetryAgent
 
 
@@ -45,9 +45,9 @@ class TwoNodeCluster:
         config = ClusterConfig(telemetry_interval=0.5, tick_interval=1e9)
         wall = lambda: self.clock[0]                       # noqa: E731
         self.a = ClusterNode("a", self.hub.join("a"), config=config,
-                             timer=False, profiler=Profiler(), clock=wall)
+                             timer=False, profiler=Metrics(), clock=wall)
         self.b = ClusterNode("b", self.hub.join("b"), config=config,
-                             timer=False, profiler=Profiler(), clock=wall)
+                             timer=False, profiler=Metrics(), clock=wall)
         self.ta = TelemetryAgent(time_source=wall).attach(self.a)
         self.tb = TelemetryAgent(
             slos=slos, bus=bus, time_source=wall,

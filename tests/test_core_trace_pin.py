@@ -23,7 +23,7 @@ _SCRIPT = r"""
 import dataclasses, hashlib, json
 from repro.core import (Emit, Join, Pause, RandomPolicy, RoundRobinPolicy,
                         Scheduler, Sleep, Spawn, TraceEvent)
-from repro.obs import KernelMetrics, MonitorBus
+from repro.obs import Metrics, MonitorBus
 from repro.problems.bounded_buffer import buffer_program
 from repro.problems.bug_gallery import _transfer_buggy
 from repro.problems.pingpong import pingpong_program
@@ -140,7 +140,7 @@ for policy in (RoundRobinPolicy(), RandomPolicy(1)):
 digests["sleep"] = h.hexdigest()
 
 h = hashlib.sha256()
-metrics, bus = KernelMetrics(), MonitorBus()
+metrics, bus = Metrics(), MonitorBus()
 s = sched(RandomPolicy(4), record_from=3, metrics=metrics, monitors=bus)
 _transfer_buggy(s)
 pingpong_program()(s)

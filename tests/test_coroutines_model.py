@@ -318,7 +318,7 @@ class TestCoScheduler:
             assert state["n"] == (5 if reached else 3)
 
     def test_sinks_do_not_change_scheduling(self):
-        from repro.obs import KernelMetrics, MonitorBus, Profiler
+        from repro.obs import Metrics, MonitorBus
         from repro.obs.causal import CausalTracer
 
         def run(**sinks):
@@ -328,11 +328,11 @@ class TestCoScheduler:
             return out, sched.steps, [(t.name, t.steps, t.result)
                                       for t in sched.tasks]
         plain = run()
-        metrics, bus = KernelMetrics(), MonitorBus()
-        observed = run(metrics=metrics, monitors=bus, profiler=Profiler(),
+        metrics, bus = Metrics(), MonitorBus()
+        observed = run(monitors=bus, profiler=metrics,
                        tracer=CausalTracer())
         assert observed == plain
-        assert metrics.snapshot()["counters"]["steps"] == plain[1]
+        assert metrics.snapshot()["counters"]["coro.resumes"] == plain[1]
         assert bus.events_seen > plain[1]   # steps plus channel taps
 
 

@@ -1,11 +1,15 @@
-"""Kernel metrics: units, determinism across runtimes, non-interference."""
+"""The metrics registry: units, determinism across runtimes,
+non-interference."""
+
+from fnmatch import fnmatchcase
 
 import pytest
 
 from repro.actors import Actor, SimActorSystem
 from repro.core import RandomPolicy, Scheduler
 from repro.coroutines import CoChannel, CoScheduler
-from repro.obs import Histogram, KernelMetrics
+from repro.obs import FakeClock, Histogram, Metrics
+from repro.obs.metrics import METRIC_NAMES
 from repro.problems import kernel_program
 from repro.problems.bounded_buffer import buffer_program
 
@@ -105,7 +109,7 @@ class TestHistogram:
 
 class TestKernelMetrics:
     def test_counters_and_gauges(self):
-        m = KernelMetrics()
+        m = Metrics()
         m.inc("steps")
         m.inc("steps", 2)
         m.gauge_max("depth", 3)
@@ -121,7 +125,7 @@ class TestKernelMetrics:
         assert snap["per_task"]["t"]["steps"] == 1
 
     def test_format_lists_everything(self):
-        m = KernelMetrics()
+        m = Metrics()
         m.inc("steps", 7)
         m.observe("lock_wait_ticks", 2)
         m.task_add("worker", "steps", 7)
@@ -133,7 +137,7 @@ class TestKernelMetrics:
 
 def _kernel_snapshot(seed):
     """Bounded buffer (monitor/threads model) on the kernel, instrumented."""
-    metrics = KernelMetrics()
+    metrics = Metrics()
     sched = Scheduler(RandomPolicy(seed), raise_on_deadlock=False,
                       raise_on_failure=False, metrics=metrics)
     buffer_program()(sched)
@@ -147,7 +151,7 @@ def _actor_snapshot(seed):
         def receive(self, message, sender):
             pass
 
-    metrics = KernelMetrics()
+    metrics = Metrics()
     sched = Scheduler(RandomPolicy(seed), raise_on_deadlock=False,
                       raise_on_failure=False, metrics=metrics)
     system = SimActorSystem(sched)
@@ -163,8 +167,8 @@ def _actor_snapshot(seed):
 
 def _coroutine_snapshot():
     """Cooperative runtime: channel producer/consumer, instrumented."""
-    metrics = KernelMetrics()
-    sched = CoScheduler(metrics=metrics)
+    metrics = Metrics(clock=FakeClock())
+    sched = CoScheduler(profiler=metrics)
     chan = CoChannel(capacity=1)
     out = []
 
@@ -183,7 +187,8 @@ def _coroutine_snapshot():
 
 
 class TestDeterminism:
-    """Same seed ⇒ identical metric snapshots; all quantities are logical."""
+    """Same seed ⇒ identical metric snapshots: the kernel writes logical
+    ticks, and the coroutine run reads time through a FakeClock."""
 
     def test_kernel_runtime_deterministic(self):
         (trace_a, snap_a) = _kernel_snapshot(seed=11)
@@ -205,7 +210,7 @@ class TestDeterminism:
         out_b, snap_b = _coroutine_snapshot()
         assert out_a == out_b == [0, 1, 2]
         assert snap_a == snap_b
-        assert snap_a["counters"]["parks"] >= 1
+        assert snap_a["counters"]["coro.parks"] >= 1
 
     def test_different_seeds_still_internally_consistent(self):
         _, snap = _kernel_snapshot(seed=3)
@@ -227,13 +232,13 @@ class TestNonInterference:
             return sched.run()
 
         bare = run(None)
-        instrumented = run(KernelMetrics())
+        instrumented = run(Metrics())
         assert bare.schedule() == instrumented.schedule()
         assert bare.outcome == instrumented.outcome
         assert bare.output == instrumented.output
 
     def test_message_latency_recorded(self):
-        metrics = KernelMetrics()
+        metrics = Metrics()
         sched = Scheduler(RandomPolicy(1), raise_on_deadlock=False,
                           raise_on_failure=False, metrics=metrics)
         kernel_program("pingpong")(sched)
@@ -242,3 +247,59 @@ class TestNonInterference:
         assert snap["counters"]["messages_sent"] == 4
         assert snap["counters"]["messages_delivered"] == 4
         assert snap["histograms"]["message_latency_ticks"]["count"] == 4
+
+
+def _unlisted(snap):
+    """Snapshot keys no entry (or pattern) of METRIC_NAMES covers."""
+    names = [*snap["counters"], *snap["gauges"], *snap["histograms"]]
+    return [n for n in names
+            if not any(fnmatchcase(n, pat) for pat in METRIC_NAMES)]
+
+
+class TestNameTable:
+    """METRIC_NAMES lists every name the instrumented code emits."""
+
+    @pytest.mark.parametrize("runtime", ["threads", "actors", "coroutines"])
+    def test_bridge_runtimes(self, runtime):
+        from repro.problems import single_lane_bridge as bridge
+        run = getattr(bridge, {"threads": "run_threads_bridge",
+                               "actors": "run_actor_bridge",
+                               "coroutines": "run_coroutine_bridge"}[runtime])
+        metrics = Metrics()
+        run(crossings=2, profiler=metrics)
+        snap = metrics.snapshot()
+        assert snap["counters"]
+        assert _unlisted(snap) == []
+
+    def test_kernel_bounded_buffer(self):
+        _, snap = _kernel_snapshot(seed=11)
+        assert "lock.buffer.acquires" in snap["counters"]   # a pattern hit
+        assert _unlisted(snap) == []
+
+    def test_two_node_loopback_pingpong(self):
+        import threading
+
+        from repro.cluster import ClusterNode, LoopbackHub
+        from repro.cluster.demo import Echo, Pinger
+
+        hub = LoopbackHub()
+        a, b = Metrics(), Metrics()
+        driver = ClusterNode("driver", hub.join("driver"), workers=2,
+                             profiler=a)
+        worker = ClusterNode("worker", hub.join("worker"), workers=2,
+                             profiler=b)
+        try:
+            driver.connect("worker")
+            worker.connect("driver")
+            worker.spawn(Echo, name="echo")
+            done = threading.Event()
+            pinger = driver.spawn(Pinger, driver.ref("worker/echo"), 4,
+                                  done, name="pinger")
+            pinger.tell(("start", 50))
+            assert done.wait(30)
+        finally:
+            driver.close()
+            worker.close()
+        for snap in (a.snapshot(), b.snapshot()):
+            assert snap["counters"]["cluster.delivered"] > 0
+            assert _unlisted(snap) == []

@@ -1,4 +1,4 @@
-"""Runtime profiler tests — FakeClock, Profiler, and the opt-in hooks
+"""Runtime profiling tests — FakeClock, Metrics, and the opt-in hooks
 inside the real runtimes (threads / actors / coroutines).
 
 The contract under test is the one the kernel's ``metrics=`` pattern
@@ -15,8 +15,8 @@ import tracemalloc
 
 import pytest
 
-from repro.obs import FakeClock, Profiler, wall_clock
-from repro.obs.profile import METRIC_NAMES
+from repro.obs import FakeClock, Metrics, wall_clock
+from repro.obs.metrics import METRIC_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -38,11 +38,11 @@ def test_wall_clock_is_monotonic_seam():
 
 
 # ---------------------------------------------------------------------------
-# Profiler core
+# Metrics core
 # ---------------------------------------------------------------------------
 
 def test_counters_gauges_histograms():
-    prof = Profiler(clock=FakeClock())
+    prof = Metrics(clock=FakeClock())
     prof.inc("lock.acquires")
     prof.inc("lock.acquires", 2)
     prof.gauge_max("mailbox.depth_max", 3)
@@ -56,28 +56,13 @@ def test_counters_gauges_histograms():
 
 
 def test_observe_us_converts_seconds_to_microseconds():
-    prof = Profiler(clock=FakeClock())
+    prof = Metrics(clock=FakeClock())
     prof.observe_us("lock.wait_us", 0.002)
     assert prof.histograms["lock.wait_us"].max == pytest.approx(2000.0)
 
 
-def test_timed_context_manager_uses_injected_clock():
-    prof = Profiler(clock=FakeClock(step=0.25))
-    with prof.timed("pool.task_us"):
-        pass
-    hist = prof.histograms["pool.task_us"]
-    assert hist.count == 1
-    assert hist.max == pytest.approx(250_000.0)   # 0.25 s in µs
-
-
-def test_rate_is_counter_over_elapsed():
-    prof = Profiler(clock=FakeClock(step=1.0))   # t0 stamped at init
-    prof.inc("coro.resumes", 10)
-    assert prof.rate("coro.resumes") == pytest.approx(10.0)  # 10 in 1 s
-
-
 def test_format_mentions_every_recorded_metric():
-    prof = Profiler(clock=FakeClock())
+    prof = Metrics(clock=FakeClock())
     prof.inc("thread.started")
     prof.observe_us("coro.resume_us", 0.001)
     text = prof.format()
@@ -86,7 +71,7 @@ def test_format_mentions_every_recorded_metric():
 
 
 def test_thread_safety_under_concurrent_increments():
-    prof = Profiler()
+    prof = Metrics()
     n, per = 8, 2_000
 
     def work():
@@ -108,7 +93,7 @@ def test_snapshot_never_torn_by_concurrent_records():
     histogram's count/total pair is a consistent cut — a torn read
     (count bumped, total not yet) shows up as count != total when
     every sample is exactly 1.0."""
-    prof = Profiler()
+    prof = Metrics()
     stop = threading.Event()
 
     def hammer():
@@ -136,7 +121,7 @@ def test_delta_consistent_under_concurrent_records():
     """The telemetry cursor walk must stay exact while writers hammer:
     cumulative fields of each delta are a consistent cut, cursors are
     monotone, and the final drained delta accounts for every sample."""
-    prof = Profiler()
+    prof = Metrics()
     stop = threading.Event()
 
     def hammer():
@@ -172,7 +157,7 @@ def test_delta_consistent_under_concurrent_records():
 
 
 def test_delta_downsamples_but_keeps_cumulative_exact():
-    prof = Profiler()
+    prof = Metrics()
     for i in range(1000):
         prof.observe("lat", float(i % 7))
     d = prof.delta({}, max_samples=64)
@@ -207,7 +192,7 @@ def _wait_until_blocked_in(thread: threading.Thread, filename: str,
 def test_monitor_reports_lock_contention():
     from repro.threads import Monitor
 
-    prof = Profiler()
+    prof = Metrics()
     m = Monitor("hot", profiler=prof)
 
     def contender():
@@ -232,7 +217,7 @@ def test_monitor_reports_lock_contention():
 def test_monitor_reports_wait_and_notify():
     from repro.threads import Monitor
 
-    prof = Profiler()
+    prof = Metrics()
     m = Monitor("cond", profiler=prof)
     state = {"go": False}
     parked = threading.Event()
@@ -259,7 +244,7 @@ def test_monitor_reports_wait_and_notify():
 def test_jthread_reports_lifecycle_and_start_latency():
     from repro.threads import JThread
 
-    prof = Profiler()
+    prof = Metrics()
     t = JThread(target=lambda: None, name="probe", profiler=prof)
     t.start()
     t.join(timeout=5)
@@ -272,7 +257,7 @@ def test_jthread_reports_lifecycle_and_start_latency():
 def test_actor_system_reports_mailbox_latency():
     from repro.problems.pingpong import run_actor_pingpong
 
-    prof = Profiler()
+    prof = Metrics()
     assert run_actor_pingpong(rounds=20, profiler=prof) == 20
     snap = prof.snapshot()
     assert snap["counters"]["mailbox.enqueued"] >= 40   # pings + pongs
@@ -285,7 +270,7 @@ def test_actor_system_reports_mailbox_latency():
 def test_coroutine_scheduler_reports_resume_latency():
     from repro.problems.pingpong import run_coroutine_pingpong
 
-    prof = Profiler()
+    prof = Metrics()
     assert run_coroutine_pingpong(rounds=20, profiler=prof) == 20
     snap = prof.snapshot()
     assert snap["counters"]["coro.resumes"] > 40
