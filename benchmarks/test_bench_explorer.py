@@ -46,10 +46,13 @@ def _record(name: str, label: str, res, seconds: float) -> None:
 
 @pytest.fixture(scope="module", autouse=True)
 def write_bench_json():
-    """Dump everything the module measured once all benchmarks ran."""
+    """Merge the sections this run measured into ``BENCH_explorer.json``,
+    so a partial run (``-k``) keeps the sections it did not run."""
     yield
     out = Path(__file__).parent / "BENCH_explorer.json"
-    out.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
+    sections = json.loads(out.read_text()) if out.exists() else {}
+    sections.update(_RESULTS)
+    out.write_text(json.dumps(sections, indent=2, sort_keys=True) + "\n")
 
 
 def _compare(name: str, program, benchmark) -> None:

@@ -668,7 +668,7 @@ def _cmd_critical(args: argparse.Namespace) -> int:
         print(f"repro critical: {exc.args[0]}", file=sys.stderr)
         return 2
     spans = tracer.spans()
-    report = critical_report(spans, measured_e2e=measured)
+    report = critical_report(spans, measured=measured)
     if args.trace_out:
         Path(args.trace_out).write_text(
             json.dumps(chrome_trace_from_causal(spans), sort_keys=True))

@@ -35,7 +35,9 @@ attributes the interval ``[span.t0, t_hi]`` to the span's segment and
 lowers ``t_hi`` to ``span.t0``.  Because consecutive intervals share
 endpoints, the per-segment attribution *partitions* the traced
 end-to-end latency exactly — scheduling gaps land in the span that
-follows them, nothing is dropped and nothing is counted twice.
+follows them, nothing is dropped and nothing is counted twice.  Given
+the wall window a caller measured, the report clips the walk to it, so
+coverage (attributed over measured) never exceeds 1.
 
 **What-if profiling.**  Coz-style virtual speedup, offline: re-schedule
 the recorded DAG with one segment's durations scaled by ``1 -
@@ -49,6 +51,7 @@ report the CLI prints as ``repro whatif``.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from collections import deque
 from typing import Any, Callable, Iterable, Optional
@@ -370,12 +373,14 @@ def _percentile(values: list, q: float) -> float:
 
 
 def critical_report(spans: Iterable,
-                    measured_e2e: Optional[dict] = None) -> dict:
+                    measured: Optional[dict] = None) -> dict:
     """Per-segment critical-path attribution across all requests.
 
-    ``measured_e2e`` optionally maps request id → externally measured
-    wall latency (seconds); coverage is then attributed/measured,
-    otherwise attributed/traced (≈ 1.0 by construction).
+    ``measured`` optionally maps request id → the ``(start, end)`` wall
+    window (tracer clock) a caller measured around the request.  The
+    walk is then clipped to that window and coverage is
+    attributed/measured, at most 1.0; otherwise coverage is
+    attributed/traced (1.0 by construction).
     """
     traces = build_requests(spans)
     seg_times: dict[str, list] = {}
@@ -385,13 +390,12 @@ def critical_report(spans: Iterable,
     for rid, trace in sorted(traces.items()):
         per_seg: dict[str, float] = {}
         walked = 0.0
+        start, end = (measured or {}).get(rid, (-math.inf, math.inf))
         for span, lo, hi in critical_path(trace):
-            per_seg[span.segment] = per_seg.get(span.segment, 0.0) \
-                + (hi - lo)
-            walked += hi - lo
-        e2e = trace.e2e
-        if measured_e2e is not None and rid in measured_e2e:
-            e2e = measured_e2e[rid]
+            width = max(0.0, min(hi, end) - max(lo, start))
+            per_seg[span.segment] = per_seg.get(span.segment, 0.0) + width
+            walked += width
+        e2e = trace.e2e if end == math.inf else end - start
         for seg, t in per_seg.items():
             seg_times.setdefault(seg, []).append(t)
         e2e_list.append(e2e)
@@ -589,7 +593,8 @@ def trace_cluster_cell(cell: str = "bridge", requests: int = 10,
     """Run ``requests`` traced requests of a cluster demo cell on a
     single-process loopback node (one clock domain, so cross-"node"
     spans line up) and return ``(tracer, measured)`` where ``measured``
-    maps request id → wall end-to-end seconds.
+    maps request id → its ``(start, end)`` wall window on the tracer's
+    clock (the ``measured`` argument of :func:`critical_report`).
 
     Cells (actors from :mod:`repro.cluster.demo`): ``bridge`` — the
     colocated :class:`~repro.cluster.demo.BridgeWorld`, one
@@ -668,7 +673,7 @@ def trace_cluster_cell(cell: str = "bridge", requests: int = 10,
             # a stale end stamp (from a previous request) predates t0,
             # so cells without a collector fall back to wall time here
             end = end_t[0] if end_t[0] > t0 else tracer.now()
-            measured[ctx.request_id] = end - t0
+            measured[ctx.request_id] = (t0, end)
     finally:
         node.close()
     return tracer, measured

@@ -2,9 +2,9 @@
 
 The course teaches Java's intrinsic-lock idiom — ``synchronized`` blocks
 plus ``wait()``/``notify()``/``notifyAll()``.  :class:`Monitor` packages
-that idiom over :mod:`threading`: a reentrant lock fused with one
-condition queue, entered with ``with monitor:`` and signalled with the
-Java method names.
+that idiom over :mod:`threading`: a reentrant lock with its own wait
+queue, entered with ``with monitor:`` and signalled with the Java
+method names.
 
 ``@synchronized`` marks methods the way Java's keyword does: the paper's
 misconception S7 ("conflate order of method invocation/return with
@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
+from collections import deque
 from typing import Any, Callable, Optional, TypeVar
 
 __all__ = ["Monitor", "synchronized", "MonitorStateError"]
@@ -32,7 +33,14 @@ class MonitorStateError(RuntimeError):
 
 
 class Monitor:
-    """Reentrant lock + condition queue with Java naming.
+    """Java's intrinsic lock and wait set: one RLock (it tracks owner
+    and depth) plus a deque of one-shot locks, one per parked wait.
+
+    ``wait`` registers its lock before it releases the monitor at any
+    depth (the RLock hooks :class:`threading.Condition` uses), so no
+    notify misses it; ``notify`` pops waiters and releases their locks.
+    A timed-out waiter leaves the deque once it holds the monitor
+    again, and returns True if a notify popped it first.
 
     ::
 
@@ -47,15 +55,8 @@ class Monitor:
     def __init__(self, name: str = "", profiler: Optional[Any] = None):
         self.name = name or f"monitor@{id(self):x}"
         self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
-        self._owner: Optional[int] = None
-        self._depth = 0
-        #: lifetime entries / WAIT parks / NOTIFY signals — observability
-        #: counters matching the kernel SimMonitor's; only mutated while
-        #: the monitor is held, so no extra synchronization is needed
-        self.acquire_count = 0
-        self.wait_count = 0
-        self.notify_count = 0
+        #: one held lock per parked ``wait()``, in arrival order
+        self._waiters: deque = deque()
         #: optional :class:`repro.obs.Metrics` — lock wait times and
         #: contention counts; None keeps every path allocation-free
         self.profiler = profiler
@@ -74,16 +75,9 @@ class Monitor:
             prof.inc("lock.acquires")
             prof.inc("lock.contended")
             prof.observe_us("lock.wait_us", prof.now() - t0)
-        self._owner = threading.get_ident()
-        self._depth += 1
-        if self._depth == 1:
-            self.acquire_count += 1
         return self
 
     def __exit__(self, *exc: Any) -> None:
-        self._depth -= 1
-        if self._depth == 0:
-            self._owner = None
         self._lock.release()
 
     def acquire(self) -> None:
@@ -94,10 +88,10 @@ class Monitor:
 
     @property
     def held_by_me(self) -> bool:
-        return self._owner == threading.get_ident()
+        return self._lock._is_owned()
 
     def _require_held(self, op: str) -> None:
-        if not self.held_by_me:
+        if not self._lock._is_owned():
             raise MonitorStateError(
                 f"{op} on {self.name} without holding the monitor")
 
@@ -108,21 +102,26 @@ class Monitor:
         Mesa semantics: callers must re-check their predicate in a loop.
         """
         self._require_held("wait()")
-        self.wait_count += 1
         prof = self.profiler
         t0 = 0.0
         if prof is not None:
             prof.inc("monitor.waits")
             t0 = prof.now()
-        depth = self._depth
-        # threading.Condition handles full release/reacquire of the RLock
-        self._depth = 0
-        self._owner = None
+        waiter = threading.Lock()
+        waiter.acquire()
+        self._waiters.append(waiter)
+        saved = self._lock._release_save()
+        signalled = False
         try:
-            signalled = self._cond.wait(timeout)
+            signalled = waiter.acquire(
+                True, -1 if timeout is None else max(timeout, 0))
         finally:
-            self._owner = threading.get_ident()
-            self._depth = depth
+            self._lock._acquire_restore(saved)
+            if not signalled:
+                try:
+                    self._waiters.remove(waiter)
+                except ValueError:      # a notify popped it meanwhile
+                    signalled = True
         if prof is not None:
             prof.inc("monitor.wakeups")
             prof.observe_us("monitor.wait_us", prof.now() - t0)
@@ -144,18 +143,18 @@ class Monitor:
 
     def notify(self, n: int = 1) -> None:
         self._require_held("notify()")
-        self.notify_count += 1
         if self.profiler is not None:
             self.profiler.inc("monitor.notifies")
-        self._cond.notify(n)
+        for _ in range(min(n, len(self._waiters))):
+            self._waiters.popleft().release()
 
     def notify_all(self) -> None:
         """The paper's NOTIFY(): every waiter finishes its WAIT()."""
         self._require_held("notifyAll()")
-        self.notify_count += 1
         if self.profiler is not None:
             self.profiler.inc("monitor.notifies")
-        self._cond.notify_all()
+        while self._waiters:
+            self._waiters.popleft().release()
 
     def __repr__(self) -> str:
         return f"<Monitor {self.name}>"
@@ -167,8 +166,8 @@ def synchronized(method: F) -> F:
     Serializes callers on a per-instance monitor stored as
     ``obj._monitor`` (created on first use; share it across methods of
     the same object, exactly like Java's intrinsic lock).  Inside the
-    method, ``self._monitor.wait()`` / ``.notify_all()`` provide the
-    condition queue.
+    method, ``self._monitor.wait()`` / ``.notify_all()`` use its wait
+    queue.
     """
 
     @functools.wraps(method)

@@ -162,10 +162,24 @@ class TestCriticalPath:
         # zero-length ingress span trails with no share)
         assert list(segs) == ["handler", "serialize", "ingress"]
         assert segs["ingress"]["share"] == 0.0
-        # measured e2e larger than traced -> coverage drops below 1
-        low = critical_report(tracer.spans(), measured_e2e={rid: 8.0})
+        # measured window wider than traced -> coverage drops below 1
+        low = critical_report(tracer.spans(), measured={rid: (0.0, 8.0)})
         assert low["coverage"] == pytest.approx(0.5)
         assert low["e2e_p50_ms"] == pytest.approx(8000.0)
+
+    def test_report_clips_the_walk_to_the_measured_window(self, tracer):
+        rid = _chain_spans(tracer,
+                           ("serialize", 0.0, 1.0),
+                           ("handler", 1.0, 4.0))
+        # the walk tiles [0, 4]; the caller measured only [0.5, 3.0]
+        report = critical_report(tracer.spans(),
+                                 measured={rid: (0.5, 3.0)})
+        assert report["coverage"] == pytest.approx(1.0)
+        assert report["e2e_p50_ms"] == pytest.approx(2500.0)
+        segs = report["segments"]
+        assert segs["serialize"]["total_ms"] == pytest.approx(500.0)
+        assert segs["handler"]["total_ms"] == pytest.approx(2000.0)
+        assert segs["handler"]["share"] == pytest.approx(0.8)
 
     def test_renderers_smoke(self, tracer):
         _chain_spans(tracer, ("handler", 0.0, 1.0))
@@ -526,13 +540,14 @@ class TestClusterWire:
 class TestAcceptance:
     def test_bridge_attribution_covers_measured_latency(self):
         """>= 90% of the *measured* end-to-end latency of each bridge
-        request must land in attributed segments."""
+        request must land in attributed segments, and no more than all
+        of it: the walk is clipped to the measured window."""
         tracer, measured = trace_cluster_cell(
             cell="bridge", requests=6, workers=4, scale=8)
         assert len(measured) == 6
-        report = critical_report(tracer.spans(), measured_e2e=measured)
+        report = critical_report(tracer.spans(), measured=measured)
         assert report["requests"] == 6
-        assert report["coverage"] >= 0.90, report
+        assert 0.90 <= report["coverage"] <= 1.0, report
         # the big three bridge segments all show up
         assert {"handler", "mailbox-wait",
                 "executor-queue"} <= set(report["segments"])
