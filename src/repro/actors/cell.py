@@ -12,7 +12,7 @@ log.
 The three runtimes differ only in who calls "process one message":
 
 * :class:`~repro.actors.system.ActorSystem` — an executor worker
-  draining a batch of mail (its loop is inlined for speed but calls
+  draining a run of mail (its loop is inlined for speed but calls
   back into this core for stop, failure and dead-lettering);
 * :class:`~repro.actors.sim.SimActorSystem` — a kernel daemon task
   receiving from a kernel mailbox, with sends buffered as effects;
@@ -103,8 +103,9 @@ class Cell:
     protocol :class:`ActorRef` talks to).
 
     Mailbox entries are ``(message, sender)`` tuples; the threaded
-    dispatcher may append ``(ctx, t_enqueue)`` for traced messages, and
-    dead-lettering keeps that ``ctx``.
+    dispatcher may append ``(ctx, t_enqueue)`` for traced messages and
+    a profiler stamp after those, and dead-lettering keeps that
+    ``ctx``.
     """
 
     __slots__ = ("system", "actor", "ref", "mailbox", "lock", "started",
@@ -117,8 +118,7 @@ class Cell:
         self.actor = actor
         self.ref = ActorRef(actor_id, name, self)
         self.mailbox: Any = deque()
-        #: serializes the stop-drain against enqueues that check
-        #: ``_stopped`` under it (the threaded runtime's profiler path)
+        #: makes ``stop()`` a test-and-set, so ``post_stop`` runs once
         self.lock = threading.Lock()
         self.started = False
         self._stopped = False
@@ -183,11 +183,19 @@ class Cell:
 
     # -- dead-lettering -----------------------------------------------------
     def _take_all(self) -> Iterable[tuple]:
-        """Atomically swap out everything queued."""
-        with self.lock:
-            leftovers = list(self.mailbox)
-            self.mailbox.clear()
-        return leftovers
+        """Pop everything queued, oldest first, one entry at a time: a
+        lock-free sender may append at any moment, and an entry that
+        lands after the last pop is its sender's to dead-letter (it
+        rechecks ``_stopped`` after appending).  A snapshot-then-clear
+        would drop an entry appended between the two."""
+        mailbox = self.mailbox
+        taken = []
+        while mailbox:
+            try:
+                taken.append(mailbox.popleft())
+            except IndexError:      # a racing flush emptied it first
+                break
+        return taken
 
     def _drain_to_dead_letters(self) -> None:
         self._dead_letter_all(self._take_all())

@@ -6,37 +6,38 @@ Akka/Scala rather than thread-per-actor):
 * every actor owns an unbounded mailbox and a *scheduled* flag;
 * ``tell`` enqueues and, if the actor is idle, submits a processing job
   to a shared :class:`~repro.actors.executor.WorkStealingExecutor`;
-* a processing job swaps out a run of up to ``throughput`` messages in
-  one go and invokes the actor's current behaviour one message at a
-  time (the actor serialization guarantee), then yields the worker and
-  reschedules itself — behind the worker's other work — if messages
-  remain.
+* a processing job reads the mailbox length once, processes up to
+  ``throughput`` messages straight off the mailbox, invoking the
+  actor's current behaviour one message at a time (the actor
+  serialization guarantee), then yields the worker and reschedules
+  itself — behind the worker's other work — if messages remain.
 
-Hot-path discipline: with no profiler attached, ``enqueue`` is a single
-``deque.append`` plus one non-blocking try-lock (the scheduled flag is
-*represented by* a held :class:`threading.Lock`, so test-and-set is one
-atomic C call), and a processing job drains its batch with plain
-``popleft`` — single-element deque ops are atomic under the GIL and the
-scheduled flag guarantees a single drainer.  Only a profiler forces the
-cell's lock (its enqueue-timestamp deque must stay aligned with the
-mailbox); the causal tracer stays lock-free by riding each message's
-request context *inside* the mailbox entry — traced messages are
-4-tuples, untraced ones keep the 2-tuple shape and pay one TLS read.
-Each traced handler run spends one hop of the request's per-process
-budget (``CausalTracer.hop_budget``), so a runaway request stops
-paying tracing costs once its first few hundred hops are recorded.
+Hot-path discipline: ``enqueue`` is one path for every system — build
+the entry, one ``deque.append``, a recheck of the stopped flag and one
+non-blocking try-lock (the scheduled flag is *represented by* a held
+:class:`threading.Lock`, so test-and-set is one atomic C call) — and a
+processing job pops each message with a plain ``popleft``:
+single-element deque ops are atomic under the GIL and the scheduled
+flag guarantees a single drainer, so neither side takes a lock.
+Whatever a sink needs rides *inside* the mailbox entry: an untraced,
+unprofiled message is a 2-tuple; the causal tracer's request context
+and enqueue stamp make it a 4-tuple ``(message, sender, ctx, t)``; a
+profiler appends its own enqueue stamp as a fifth slot (``ctx`` and
+``t`` are None when the message carries no context).  Each traced
+handler run spends one hop of the request's per-process budget
+(``CausalTracer.hop_budget``), so a runaway request stops paying
+tracing costs once its first few hundred hops are recorded.
 
 Lifecycle, supervision (RESUME/RESTART/STOP) and dead-lettering live
 in the shared cell core (:mod:`repro.actors.cell`); this module is the
-dispatch only.  A stop in the middle of a drained batch dead-letters
-the batch's remainder, exactly as if the messages were still queued.
+dispatch only.  A stop in the middle of a run leaves the mail behind
+it in the mailbox, where ``stop()`` dead-letters it in send order.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from collections import deque
 from typing import Any, Optional
 
 from .cell import (ActorRuntime, Cell, DeadLetter, StopSignal,
@@ -50,24 +51,16 @@ __all__ = ["SupervisionDirective", "ActorSystem", "DeadLetter"]
 class _Cell(Cell):
     """A cell plus the dispatcher's scheduling state."""
 
-    __slots__ = ("_sched", "enq_times", "_batch", "_run", "affinity")
+    __slots__ = ("_sched", "_run", "affinity")
 
     def __init__(self, system: "ActorSystem", actor: Any, name: str,
                  actor_id: int,
                  directive: Optional[SupervisionDirective] = None):
         super().__init__(system, actor, name, actor_id, directive)
         #: the scheduled flag *is* this lock's held/free state —
-        #: ``acquire(False)`` is an atomic test-and-set, so the
-        #: profiler-off enqueue path claims scheduling rights without
-        #: ever blocking or taking ``self.lock``
+        #: ``acquire(False)`` is an atomic test-and-set, so enqueue
+        #: claims scheduling rights without ever blocking
         self._sched = threading.Lock()
-        #: enqueue timestamps, parallel to ``mailbox`` (profiling only —
-        #: both deques are pushed/popped together under ``lock``, so the
-        #: head timestamp always belongs to the head message)
-        self.enq_times: deque[float] = deque()
-        #: reusable drain buffer — one live batch per cell (guaranteed
-        #: by the scheduled flag), so no per-batch list allocation
-        self._batch: list[tuple[Any, Optional[ActorRef]]] = []
         #: the bound method the executor runs, created once per actor
         self._run = self._process
         #: stable home-worker key — a hot actor keeps hitting the same
@@ -83,37 +76,27 @@ class _Cell(Cell):
         system = self.system
         prof = system.profiler
         trc = system.tracer
-        if trc is None:
+        if trc is None and prof is None:
             entry: tuple = (message, sender)
         else:
             # the sender's causal position rides *inside* the mailbox
-            # entry (a 4-tuple), so tracing needs no parallel deque and
-            # no lock — an untraced message on a traced system pays one
-            # TLS read and keeps the 2-tuple shape
-            ctx = getattr(trc.tls, "ctx", None)
-            entry = (message, sender) if ctx is None \
-                else (message, sender, ctx, trc.clock())
-        if prof is None:
-            # lock-free fast path: one atomic append, one try-lock
-            if self._stopped:
-                system._dead_letter(self.ref.name, message, sender,
-                                    entry[2] if len(entry) > 2 else None)
-                return
-            self.mailbox.append(entry)
-            if self._stopped:
-                # raced stop(): its drain may have run before our
-                # append landed — flush so nothing rots in a dead mailbox
-                self._drain_to_dead_letters()
-                return
-        else:
-            with self.lock:
-                if self._stopped:
-                    system._dead_letter(self.ref.name, message, sender,
-                                        entry[2] if len(entry) > 2
-                                        else None)
-                    return
-                self.mailbox.append(entry)
-                self.enq_times.append(prof.now())
+            # entry, so tracing needs no parallel deque and no lock — an
+            # untraced message on a traced system pays one TLS read
+            ctx = None if trc is None else getattr(trc.tls, "ctx", None)
+            if prof is not None:
+                entry = (message, sender, ctx,
+                         None if ctx is None else trc.clock(), prof.now())
+            elif ctx is None:
+                entry = (message, sender)
+            else:
+                entry = (message, sender, ctx, trc.clock())
+        self.mailbox.append(entry)
+        if self._stopped:
+            # stopped, or raced stop(): its drain may have run before
+            # our append landed — flush so nothing rots in a dead mailbox
+            self._drain_to_dead_letters()
+            return
+        if prof is not None:
             prof.inc("mailbox.enqueued")
             depth = len(self.mailbox)
             prof.observe("mailbox.depth", depth)
@@ -125,131 +108,49 @@ class _Cell(Cell):
     # -- message processing ----------------------------------------------------
     def _process(self) -> None:
         system = self.system
-        actor = self.actor
         if not self.started and not self.start():
             # STOP directive fired in pre_start
             self._sched.release()
             return
-        prof = system.profiler
-        trc = system.tracer
         mailbox = self.mailbox
-        batch = self._batch
-        drain_t = 0.0
-        if trc is not None:
-            # the dequeue timestamp is taken once per batch by design
-            drain_t = trc.clock()
-        if prof is None:
-            # single drainer (scheduled flag) + atomic popleft: no lock
-            n = len(mailbox)
-            if n > system.throughput:
-                n = system.throughput
-            for _ in range(n):
-                batch.append(mailbox.popleft())
-        else:
-            # one lock acquisition amortized over the whole batch
+        # single drainer (scheduled flag) + atomic popleft: no lock, and
+        # the length is read once — mail arriving during the run waits
+        # for the next one
+        n = len(mailbox)
+        if n > system.throughput:
+            n = system.throughput
+        prof = system.profiler
+        now = 0.0
+        if prof is not None and n:
             now = prof.now()
-            with self.lock:
-                n = min(len(mailbox), system.throughput)
-                times = self.enq_times
-                for _ in range(n):
-                    batch.append(mailbox.popleft())
-                    if times:
-                        prof.observe_us("mailbox.latency_us",
-                                        now - times.popleft())
-            if n:
-                prof.observe("mailbox.batch_size", n)
-
-        lane = self.ref.name
-        if trc is not None:
-            # hot-loop locals: span recording is inlined below (id
-            # counter, deque append, raw TLS) — per traced message the
-            # whole chain costs three tuple appends, one clock read and
-            # one budget-table update
-            _ids = trc._ids
-            _app = trc._spans.append
-            _now = trc.clock
-            _tls = trc.tls
-            _Ctx = trc.context
-            _left = trc._hops_left
-            _hb = trc.hop_budget
-            t_prev = drain_t
-        for i in range(n):
-            entry = batch[i]
-            message, sender = entry[0], entry[1]
-            if isinstance(message, StopSignal):
-                self.stop()
-            else:
-                context = actor.context
-                context.sender = sender
-                traced = False
-                if len(entry) == 4 and trc is not None:
-                    # one handler run spends one hop of the request's
-                    # per-process budget (inlined CausalTracer.admit);
-                    # once it's gone the message runs untraced and the
-                    # chain self-terminates — bounded tracing cost per
-                    # request, like OpenTelemetry span limits
-                    rid = entry[2].request_id
-                    left = _left.get(rid)
-                    if left is None:
-                        if len(_left) >= 65536:
-                            _left.clear()
-                        left = _hb
-                    if left > 0:
-                        _left[rid] = left - 1
-                        traced = True
-                if traced:
-                    # traced message: chain mailbox-wait → executor-queue
-                    # → handler off the sender's span, and run the
-                    # behaviour under the handler's context so nested
-                    # tells keep the chain growing.  The handler start
-                    # stamp reuses the previous handler's end (they are
-                    # back-to-back in this loop), so the chain needs one
-                    # clock read per message
-                    ctx, enq_t = entry[2], entry[3]
-                    h0 = t_prev
-                    d = drain_t if drain_t >= enq_t else enq_t
-                    if d > h0:
-                        d = h0
-                    w_id = next(_ids)
-                    _app((w_id, ctx.span_id, rid, "mailbox-wait", lane,
-                          enq_t if enq_t <= d else d, d))
-                    q_id = next(_ids)
-                    _app((q_id, w_id, rid, "executor-queue", lane, d, h0))
-                    h_id = next(_ids)
-                    _tls.ctx = _Ctx(rid, h_id)
-                    try:
-                        actor.current_behaviour()(message, sender)
-                    except BaseException as exc:  # noqa: BLE001
-                        system._on_failure(self, exc, message)
-                    finally:
-                        t_prev = _now()
-                        _app((h_id, q_id, rid, "handler", lane, h0,
-                              t_prev))
-                        _tls.ctx = None
-                        context.sender = None
+            prof.observe("mailbox.batch_size", n)
+        if system.tracer is None:
+            actor = self.actor
+            context = actor.context
+            for _ in range(n):
+                entry = mailbox.popleft()
+                message = entry[0]
+                if prof is not None:
+                    self._observe_dequeue(prof, entry, now)
+                if isinstance(message, StopSignal):
+                    self.stop()
                 else:
+                    sender = context.sender = entry[1]
                     try:
                         actor.current_behaviour()(message, sender)
                     except BaseException as exc:  # noqa: BLE001
                         system._on_failure(self, exc, message)
                     finally:
                         context.sender = None
-            if prof is not None:
-                # decoupled from the latency sample on purpose: messages
-                # enqueued before a profiler was attached have no
-                # timestamp but still count as processed (stop signals
-                # included — they were dequeued and handled)
-                prof.inc("mailbox.processed")
-            if self._stopped:
-                # stop (poison pill or STOP directive) mid-batch: the
-                # batch remainder is mail behind the stop — dead-letter
-                # it exactly like the messages still in the mailbox
-                self._dead_letter_all(batch[i + 1:n])
-                del batch[:]
-                self._sched.release()
-                return
-        del batch[:]
-
+                if self._stopped:
+                    # stop (poison pill or STOP directive) mid-run: the
+                    # mail behind it never left the mailbox, so stop()
+                    # dead-lettered it there, in send order
+                    self._sched.release()
+                    return
+        elif self._process_traced(n, prof, now):
+            self._sched.release()
+            return
         if mailbox:
             # budget exhausted with mail left: requeue *fairly*, behind
             # whatever else is waiting on our worker
@@ -264,12 +165,94 @@ class _Cell(Cell):
             if not system._executor.submit(self._run, affinity=self.affinity):
                 self._reject()
 
-    def _take_all(self) -> list:
-        with self.lock:
-            leftovers = list(self.mailbox)
-            self.mailbox.clear()
-            self.enq_times.clear()
-        return leftovers
+    @staticmethod
+    def _observe_dequeue(prof: Any, entry: tuple, now: float) -> None:
+        # decoupled from the latency sample on purpose: messages
+        # enqueued before a profiler was attached have no stamp but
+        # still count as processed (stop signals included)
+        if len(entry) == 5:
+            prof.observe_us("mailbox.latency_us", now - entry[4])
+        prof.inc("mailbox.processed")
+
+    def _process_traced(self, n: int, prof: Any, now: float) -> bool:
+        """The run loop with a tracer attached; True when the cell
+        stopped mid-run."""
+        system = self.system
+        actor = self.actor
+        context = actor.context
+        popleft = self.mailbox.popleft
+        trc = system.tracer
+        lane = self.ref.name
+        # hot-loop locals: span recording is inlined below (id counter,
+        # deque append, raw TLS) — per traced message the whole chain
+        # costs three tuple appends, one clock read and one budget-table
+        # update.  The dequeue timestamp is taken once per run by design
+        _ids = trc._ids
+        _app = trc._spans.append
+        _now = trc.clock
+        _tls = trc.tls
+        _Ctx = trc.context
+        _left = trc._hops_left
+        _hb = trc.hop_budget
+        drain_t = t_prev = _now()
+        for _ in range(n):
+            entry = popleft()
+            message, sender = entry[0], entry[1]
+            if prof is not None:
+                self._observe_dequeue(prof, entry, now)
+            ctx = entry[2] if len(entry) > 2 else None
+            traced = False
+            if ctx is not None and not isinstance(message, StopSignal):
+                # one handler run spends one hop of the request's
+                # per-process budget (inlined CausalTracer.admit); once
+                # it's gone the message runs untraced and the chain
+                # self-terminates — bounded tracing cost per request,
+                # like OpenTelemetry span limits
+                rid = ctx.request_id
+                left = _left.get(rid)
+                if left is None:
+                    if len(_left) >= 65536:
+                        _left.clear()
+                    left = _hb
+                if left > 0:
+                    _left[rid] = left - 1
+                    traced = True
+            if not traced:
+                self.deliver(message, sender)
+                if self._stopped:
+                    return True
+                continue
+            # traced message: chain mailbox-wait → executor-queue →
+            # handler off the sender's span, and run the behaviour under
+            # the handler's context so nested tells keep the chain
+            # growing.  The handler start stamp reuses the previous
+            # handler's end (they are back-to-back in this loop), so the
+            # chain needs one clock read per message
+            enq_t = entry[3]
+            h0 = t_prev
+            d = drain_t if drain_t >= enq_t else enq_t
+            if d > h0:
+                d = h0
+            w_id = next(_ids)
+            _app((w_id, ctx.span_id, rid, "mailbox-wait", lane,
+                  enq_t if enq_t <= d else d, d))
+            q_id = next(_ids)
+            _app((q_id, w_id, rid, "executor-queue", lane, d, h0))
+            h_id = next(_ids)
+            _tls.ctx = _Ctx(rid, h_id)
+            context.sender = sender
+            try:
+                actor.current_behaviour()(message, sender)
+            except BaseException as exc:  # noqa: BLE001
+                system._on_failure(self, exc, message)
+            finally:
+                t_prev = _now()
+                _app((h_id, q_id, rid, "handler", lane, h0, t_prev))
+                _tls.ctx = None
+                context.sender = None
+            if self._stopped:
+                return True
+        return False
 
     def _reject(self) -> None:
         """The executor refused a submit (it is shut down): we hold the

@@ -16,7 +16,7 @@ import pytest
 
 from repro.actors import Actor, ActorSystem, SupervisionDirective
 from repro.actors.executor import WorkStealingExecutor
-from repro.obs import Metrics
+from repro.obs import CausalTracer, Metrics
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +269,95 @@ class TestSupervisionAcrossBatches:
         assert events == [1, ("restart", "nope"), 3]
 
 
+class TestStopMidRunKeepsSendOrder:
+    """Mail behind a stop is dead-lettered in send order, also when
+    some of it arrived while the stopping run was already under way."""
+
+    class Gated(Actor):
+        def __init__(self, gates, sink):
+            super().__init__()
+            self.gates = gates
+            self.sink = sink
+
+        def receive(self, message, sender):
+            gate = self.gates.get(message)
+            if gate is not None:
+                entered, release = gate
+                entered.set()
+                assert release.wait(10)
+                if message == "b" and self.gates.get("raise"):
+                    raise RuntimeError("b fails")
+            self.sink.append(message)
+
+    @pytest.mark.parametrize("sink_kind", ["plain", "profiled", "traced"])
+    @pytest.mark.parametrize("stop_kind", ["poison-pill", "stop-directive"])
+    def test_mail_behind_a_stop_dead_letters_in_send_order(self, sink_kind,
+                                                           stop_kind):
+        tracer = CausalTracer() if sink_kind == "traced" else None
+        gates = {m: (threading.Event(), threading.Event()) for m in "ab"}
+        gates["raise"] = stop_kind == "stop-directive"
+        sink = []
+        system = ActorSystem(
+            workers=1, throughput=64,
+            profiler=Metrics() if sink_kind == "profiled" else None,
+            tracer=tracer, directive=SupervisionDirective.STOP)
+        try:
+            if tracer is not None:
+                tracer.start_request("stop-order")   # traced 4-tuples
+            ref = system.spawn(self.Gated, gates, sink)
+            ref.tell("a")
+            assert gates["a"][0].wait(10)            # "a" holds the run
+            ref.tell("b")
+            if stop_kind == "poison-pill":
+                system.stop(ref)
+            ref.tell("c")
+            gates["a"][1].set()
+            assert gates["b"][0].wait(10)            # "b" holds the next
+            ref.tell("d")                            # lands mid-run
+            gates["b"][1].set()
+            assert system.drain(timeout=10)
+        finally:
+            if tracer is not None:
+                tracer.uninstall()
+            system.shutdown()
+        # a STOP directive fires in "b"'s handler, before it is logged
+        assert sink == (["a"] if stop_kind == "stop-directive"
+                        else ["a", "b"])
+        assert [dl.message for dl in system.dead_letters] == ["c", "d"]
+
+
+class TestFairRequeue:
+    def test_a_flooded_actor_yields_within_its_throughput(self):
+        """One worker, throughput 4: an actor with 40 queued messages
+        runs 4 of them, then requeues behind a second actor's job."""
+        log = []
+        busy, release = threading.Event(), threading.Event()
+
+        class Logger(Actor):
+            def receive(self, message, sender):
+                if message == "hold":
+                    busy.set()
+                    assert release.wait(10)
+                log.append(message)
+
+        with ActorSystem(workers=1, throughput=4) as system:
+            holder = system.spawn(Logger)
+            flooded = system.spawn(Logger)
+            other = system.spawn(Logger)
+            assert system.drain(timeout=10)          # all three started
+            holder.tell("hold")                      # occupy the worker
+            assert busy.wait(10)
+            for i in range(40):
+                flooded.tell(i)
+            other.tell("other")
+            release.set()
+            assert system.drain(timeout=10)
+        # "hold", then at most one run of 4 before the requeue yields
+        assert log[0] == "hold"
+        assert log.index("other") <= 1 + 4, log[:12]
+        assert [m for m in log if isinstance(m, int)] == list(range(40))
+
+
 class TestQuiescence:
     def test_drain_waits_out_continuous_retells(self):
         """An actor chain that keeps re-telling itself: drain() must not
@@ -394,7 +483,7 @@ class TestDispatchProfiling:
             gate.set()
             assert system.drain(timeout=10)
             assert len(sink) == 6
-            # all 5 backlog messages counted despite empty enq_times
+            # all 5 backlog messages counted though they carry no stamp
             assert prof.get("mailbox.processed") >= 5
         finally:
             system.shutdown()
