@@ -117,11 +117,11 @@ def test_pingpong_latency_actors_vs_coroutines(benchmark):
 
 
 def test_bench_actors_within_3x_of_coroutines():
-    """The work-stealing dispatcher's acceptance bar: preemptive actors
-    pay real threads, locks, and cross-thread handoffs that cooperative
+    """The actor dispatcher's acceptance bar: preemptive actors pay
+    real threads, locks, and cross-thread handoffs that cooperative
     coroutines don't, but the hot path (lock-free enqueue, batched
-    drains, worker-local LIFO scheduling) must keep that tax under 3×
-    on the message-passing cells.
+    drains, one shared C queue, a worker's run-next slot) must keep
+    that tax under 3× on the message-passing cells.
 
     Each problem runs at perfbench's cell size with no profiler; the two
     runtimes alternate, and the gate reads the median of seven

@@ -54,6 +54,10 @@ def ask(system: ActorSystem, target: ActorRef, payload: Any,
     Spawns a temporary reply actor, sends ``Ask(payload)`` with it as
     the sender, and blocks (the *caller*, never the target) until the
     reply lands or the timeout expires.
+
+    Call it from outside the actors.  Inside a handler of the threaded
+    system it blocks a dispatch worker, and the reply actor's first job
+    can sit in that worker's run-next slot until the wait times out.
     """
     future = PoolFuture()
     collector = system.spawn(_ReplyCollector, future, name="ask-reply")

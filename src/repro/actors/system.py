@@ -1,16 +1,19 @@
-"""Threaded actor runtime — mailboxes + a work-stealing dispatcher.
+"""Threaded actor runtime — mailboxes + one shared dispatch queue.
 
 Execution model (the standard event-driven actor dispatcher, as in
 Akka/Scala rather than thread-per-actor):
 
 * every actor owns an unbounded mailbox and a *scheduled* flag;
 * ``tell`` enqueues and, if the actor is idle, submits a processing job
-  to a shared :class:`~repro.actors.executor.WorkStealingExecutor`;
+  to the shared :class:`~repro.actors.executor.WorkStealingExecutor`:
+  one queue every worker takes from, plus a run-next slot per worker
+  that keeps a job submitted from a worker on that worker (the name
+  predates this design);
 * a processing job reads the mailbox length once, processes up to
   ``throughput`` messages straight off the mailbox, invoking the
   actor's current behaviour one message at a time (the actor
   serialization guarantee), then yields the worker and reschedules
-  itself — behind the worker's other work — if messages remain.
+  itself — behind everything already waiting — if messages remain.
 
 Hot-path discipline: ``enqueue`` is one path for every system — build
 the entry, one ``deque.append``, a recheck of the stopped flag and one
@@ -51,7 +54,7 @@ __all__ = ["SupervisionDirective", "ActorSystem", "DeadLetter"]
 class _Cell(Cell):
     """A cell plus the dispatcher's scheduling state."""
 
-    __slots__ = ("_sched", "_run", "affinity")
+    __slots__ = ("_sched", "_run")
 
     def __init__(self, system: "ActorSystem", actor: Any, name: str,
                  actor_id: int,
@@ -63,9 +66,6 @@ class _Cell(Cell):
         self._sched = threading.Lock()
         #: the bound method the executor runs, created once per actor
         self._run = self._process
-        #: stable home-worker key — a hot actor keeps hitting the same
-        #: worker's deque (and that worker's caches) unless stolen
-        self.affinity = actor_id
 
     @property
     def scheduled(self) -> bool:
@@ -102,7 +102,7 @@ class _Cell(Cell):
             prof.observe("mailbox.depth", depth)
             prof.gauge_max("mailbox.depth_max", depth)
         if self._sched.acquire(False):
-            if not system._executor.submit(self._run, affinity=self.affinity):
+            if not system._executor.submit(self._run):
                 self._reject()
 
     # -- message processing ----------------------------------------------------
@@ -153,16 +153,15 @@ class _Cell(Cell):
             return
         if mailbox:
             # budget exhausted with mail left: requeue *fairly*, behind
-            # whatever else is waiting on our worker
-            if not system._executor.submit(self._run, affinity=self.affinity,
-                                           fair=True):
+            # whatever else is waiting for a worker
+            if not system._executor.submit(self._run, fair=True):
                 self._reject()
             return
         self._sched.release()
         # a message may have slipped in between the emptiness check and
         # the release — whoever wins the try-lock reschedules
         if mailbox and self._sched.acquire(False):
-            if not system._executor.submit(self._run, affinity=self.affinity):
+            if not system._executor.submit(self._run):
                 self._reject()
 
     @staticmethod
@@ -288,8 +287,9 @@ class ActorSystem(ActorRuntime):
         super().__init__(name, directive)
         self.throughput = throughput
         #: optional :class:`repro.obs.Metrics` — mailbox latency/depth,
-        #: message throughput, executor steals/parks; None keeps the
-        #: dispatch path untouched
+        #: batch size and message throughput (the executor's own counters
+        #: are :meth:`executor_stats`); None keeps the dispatch path
+        #: untouched
         self.profiler = profiler
         #: optional :class:`repro.obs.causal.CausalTracer` — request
         #: contexts ride the mailbox and every traced handler records a
@@ -297,14 +297,13 @@ class ActorSystem(ActorRuntime):
         #: the lock-free enqueue path
         self.tracer = tracer
         self._executor = WorkStealingExecutor(workers,
-                                              name=f"{name}.dispatch",
-                                              profiler=profiler)
+                                              name=f"{name}.dispatch")
 
     def _launch(self, cell: _Cell) -> None:
         # schedule once immediately so pre_start runs even for actors
         # that initiate conversations instead of waiting for mail
         cell._sched.acquire()
-        if not self._executor.submit(cell._run, affinity=cell.affinity):
+        if not self._executor.submit(cell._run):
             cell._reject()
 
     def _forget(self, cell: Cell) -> None:
@@ -347,8 +346,8 @@ class ActorSystem(ActorRuntime):
         self._executor.shutdown(wait=True)
 
     def executor_stats(self) -> dict[str, int]:
-        """Dispatcher counters: queued, executed, steals, parks,
-        local_hits, workers."""
+        """Dispatcher counters: workers, queued, executed and
+        local_hits (tasks that took a worker's run-next slot)."""
         return self._executor.stats
 
     def __enter__(self) -> "ActorSystem":

@@ -8,7 +8,7 @@ segment is worth optimizing next*.  Three pieces:
 the causal parent span id — is stamped at ingress
 (:meth:`CausalTracer.start_request`) and carried through every handoff
 a request makes: thread starts (``JThread``), pool submissions
-(``ThreadPool``), actor messages (mailbox enqueue → work-stealing
+(``ThreadPool``), actor messages (mailbox enqueue → shared-queue
 dispatch → handler), coroutine resumes, and cluster frames (an
 optional envelope header field, local fast path included).  The
 contract mirrors the profiler: every instrumentation site guards on

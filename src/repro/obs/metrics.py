@@ -59,7 +59,6 @@ METRIC_NAMES: tuple[str, ...] = (
     # actors
     "mailbox.enqueued", "mailbox.processed", "mailbox.latency_us",
     "mailbox.depth", "mailbox.depth_max", "mailbox.batch_size",
-    "executor.steals", "executor.parks", "executor.local_hits",
     # coroutines
     "coro.resumes", "coro.resume_us", "coro.ready_wait_us",
     "coro.parks", "coro.wakes",

@@ -669,9 +669,8 @@ class TelemetryAgent:
             frame["gauges"].update(d["gauges"])
             frame["hists"].update(d["hists"])
         stats = node.system.executor_stats()
-        for key in ("executed", "steals", "parks", "local_hits"):
-            self._put_counter(frame, f"executor.{key}",
-                              stats.get(key, 0))
+        for key in ("executed", "local_hits"):
+            self._put_counter(frame, f"executor.{key}", stats[key])
         self._put_counter(frame, "actor.failures",
                           len(node.system.failures()))
         self._put_counter(frame, "cluster.dead_letters",

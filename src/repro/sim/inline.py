@@ -1,7 +1,7 @@
 """A single-threaded, externally-pumped actor system for simulation.
 
 The threaded :class:`~repro.actors.system.ActorSystem` dispatches
-mailboxes on a work-stealing executor — real parallelism, real
+mailboxes on a shared executor queue — real parallelism, real
 nondeterminism.  Under deterministic simulation that nondeterminism
 must be *scheduled*, not raced, so :class:`InlineActorSystem` never
 starts a thread: ``tell`` only enqueues, and one message is processed

@@ -19,6 +19,9 @@ the protocol depends on shows the check is not vacuous.
 
 A second program covers a stopped cell: each tell appends, sees the
 stop and flushes the mailbox to dead letters, and flushes race.
+
+A third covers the executor's ``idle()``: single-writer submit and
+finish counters, read without a lock, finish counts first.
 """
 
 import pytest
@@ -216,3 +219,106 @@ class TestStoppedCellFlushModel:
         assert res.complete
         assert any(len(dead) < len(MESSAGES) and not queued
                    for dead, queued in res.observations())
+
+
+# -- the executor's idle() ---------------------------------------------------
+
+def _idle_program(finished_first: bool = True):
+    """``WorkStealingExecutor.idle`` against two submits and one worker.
+
+    A sender submits ``t1`` from outside the executor (the external
+    counter, under the executor's lock, then the queue put); the worker
+    takes it off the queue (a ``SimSemaphore`` a put releases), and
+    ``t1`` submits ``t2`` from the worker into its run-next slot (the
+    worker's own counter).  Once the sender's submit has returned, an
+    observer evaluates ``idle()`` once (as ``drain()`` does after a
+    tell), reading the counters with no lock.  ``pending`` is the
+    ground truth (counted submits minus counted finishes, changed in the
+    same step as the counter); ``quiet`` records whether it was zero at
+    any instant of the observer's call.  The mutation reads the submit
+    counters before the finish counter.  ``pending`` and ``quiet`` are
+    bookkeeping, not announced; naive exploration of all 76,032
+    schedules gives the same verdicts on both variants.
+    """
+    def program(sched):
+        lock = SimLock("executor.lock")
+        jobs = SimSemaphore(0, "queue")
+        returned = SimSemaphore(0, "submit-returned")
+        st = {"external": 0, "submitted": 0, "finished": 0, "pending": 0,
+              "queue": [], "slot": None, "calling": False, "quiet": False,
+              "verdict": None, "ran": []}
+        sched.fingerprint_extra = lambda: (
+            st["external"], st["submitted"], st["finished"], st["pending"],
+            tuple(st["queue"]), st["slot"], st["calling"], st["quiet"],
+            st["verdict"], tuple(st["ran"]))
+
+        def count(key, delta):
+            yield Access(key, WRITE)
+            st[key] += 1
+            st["pending"] += delta
+            if st["calling"] and st["pending"] == 0:
+                st["quiet"] = True
+
+        def sender():
+            yield Acquire(lock)
+            yield from count("external", 1)
+            st["queue"].append("t1")
+            yield Release(jobs)                 # the put, under the lock
+            yield Release(lock)
+            yield Release(returned)
+
+        def worker():
+            while True:
+                task, st["slot"] = st["slot"], None
+                if task is None:
+                    yield Acquire(jobs)
+                    task = st["queue"].pop(0)
+                st["ran"].append(task)
+                if task == "t1":                # submits t2 into the slot
+                    yield from count("submitted", 1)
+                    st["slot"] = "t2"
+                yield from count("finished", -1)
+
+        def read(key):
+            yield Access(key, READ)
+            return st[key]
+
+        def observer():
+            yield Acquire(returned)             # the call starts here
+            st["calling"] = True
+            st["quiet"] = st["pending"] == 0
+            if finished_first:
+                f = yield from read("finished")
+                s = yield from read("submitted")
+                s += yield from read("external")
+            else:
+                s = yield from read("submitted")
+                s += yield from read("external")
+                f = yield from read("finished")
+            st["calling"] = False
+            st["verdict"] = f == s
+
+        sched.spawn(sender, name="sender")
+        sched.spawn(worker, name="worker", daemon=True)
+        sched.spawn(observer, name="observer")
+        return lambda: (st["verdict"], st["quiet"], tuple(st["ran"]))
+    return program
+
+
+class TestExecutorIdleModel:
+    def test_idle_is_never_reported_while_a_task_is_pending(self):
+        res = _explore_armed(_idle_program())
+        assert res.complete
+        assert not res.deadlock_possible
+        assert res.hazards == []
+        verdicts = res.observations()
+        assert all(quiet for idle, quiet, _ in verdicts if idle)
+        # not vacuous: both verdicts occur, and the run ends with both
+        # tasks done whatever the observer saw
+        assert {idle for idle, _, _ in verdicts} == {True, False}
+        assert {ran for *_, ran in verdicts} == {("t1", "t2")}
+
+    def test_reading_submitted_first_fakes_idleness(self):
+        res = _explore_armed(_idle_program(finished_first=False))
+        assert any(idle and not quiet
+                   for idle, quiet, _ in res.observations())
