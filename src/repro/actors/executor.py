@@ -22,8 +22,14 @@ arbitrary callables and never lets one kill a worker.
 
 A slot task runs only on its own worker.  A task that blocks until
 work it submitted itself has run therefore waits until its own wait
-gives up once that work sits in the slot; actor handlers must not
-block on replies.
+gives up once that work sits in the slot, unless it first calls
+:meth:`~WorkStealingExecutor.yield_slot` (as ``ask`` does), which
+moves the slot task to the shared queue.
+
+Workers are jobs on threads borrowed from the process-wide cache
+(:mod:`repro.threads.cache`), not threads of their own; each releases
+an exit latch when it leaves its loop, and ``shutdown(wait=True)``
+waits on those latches.
 
 Quiescence: :meth:`idle` is exact without a lock on the hot path.
 Every counter has one writer — each worker counts its own submits and
@@ -42,6 +48,8 @@ from __future__ import annotations
 import queue
 import threading
 from typing import Any, Callable, Optional
+
+from ..threads.cache import run_on_thread
 
 __all__ = ["WorkStealingExecutor"]
 
@@ -78,14 +86,17 @@ class _CtxTask:
 
 
 class _Worker:
-    """One worker thread, its run-next slot and its own counters (this
-    worker is their only writer)."""
+    """One worker, its run-next slot and its own counters (this worker
+    is their only writer), and its exit latch: a lock held until the
+    worker leaves its loop."""
 
-    __slots__ = ("slot", "submitted", "finished", "local_hits")
+    __slots__ = ("slot", "submitted", "finished", "local_hits", "exited")
 
     def __init__(self) -> None:
         self.slot: Optional[Callable[[], Any]] = None
         self.submitted = self.finished = self.local_hits = 0
+        self.exited = threading.Lock()
+        self.exited.acquire()
 
 
 class WorkStealingExecutor:
@@ -128,11 +139,8 @@ class WorkStealingExecutor:
         self._lock = threading.Lock()
         self._live = workers
         self._shut = False
-        self._threads = [threading.Thread(target=self._loop, args=(w,),
-                                          name=f"{name}-w{i}", daemon=True)
-                         for i, w in enumerate(self._workers)]
-        for t in self._threads:
-            t.start()
+        for i, w in enumerate(self._workers):
+            run_on_thread(lambda w=w: self._loop(w), f"{name}-w{i}")
 
     def submit(self, task: Callable[[], Any], fair: bool = False) -> bool:
         """Enqueue ``task``; returns False if the executor is shut down.
@@ -169,27 +177,41 @@ class WorkStealingExecutor:
     def _loop(self, w: _Worker) -> None:
         self._tls.worker = w
         get = self._queue.get
-        while True:
-            task, w.slot = w.slot, None
-            if task is None:
+        try:
+            while True:
+                task, w.slot = w.slot, None
+                if task is None:
+                    try:
+                        task = get()
+                    except queue.Empty:  # the last worker ran the rest
+                        return
+                    if task is None:     # shutdown sentinel
+                        with self._lock:
+                            self._live -= 1
+                            if self._live:
+                                return
+                        # the last worker out runs what other workers
+                        # queued behind the sentinels, then exits
+                        get = self._queue.get_nowait
+                        continue
                 try:
-                    task = get()
-                except queue.Empty:      # the last worker ran the rest
-                    return
-                if task is None:         # shutdown sentinel
-                    with self._lock:
-                        self._live -= 1
-                        if self._live:
-                            return
-                    # the last worker out runs what other workers
-                    # queued behind the sentinels, then exits
-                    get = self._queue.get_nowait
-                    continue
-            try:
-                task()
-            except BaseException:  # noqa: BLE001 - tasks must not kill
-                pass               # workers; cells route errors already
-            w.finished += 1
+                    task()
+                except BaseException:  # noqa: BLE001 - tasks must not
+                    pass               # kill workers; cells route errors
+                w.finished += 1
+        finally:
+            w.exited.release()
+
+    def yield_slot(self) -> None:
+        """Called on one of this executor's workers before it blocks:
+        move its run-next slot task to the shared queue, where another
+        worker can run it.  Anywhere else this does nothing.  The
+        worker is its slot's one writer, and the task stays counted as
+        submitted, so :meth:`idle` stays exact."""
+        me: Optional[_Worker] = getattr(self._tls, "worker", None)
+        if me is not None and me.slot is not None:
+            task, me.slot = me.slot, None
+            self._queue.put(task)
 
     def idle(self) -> bool:
         """True when no task is queued, in a slot, or running."""
@@ -213,9 +235,13 @@ class WorkStealingExecutor:
                 for _ in self._workers:
                     self._queue.put(None)
         if wait:
-            for t in self._threads:
-                if t is not threading.current_thread():
-                    t.join()
+            # wait for every worker to leave its loop, but not for the
+            # one that may be calling
+            me = getattr(self._tls, "worker", None)
+            for w in self._workers:
+                if w is not me:
+                    w.exited.acquire()
+                    w.exited.release()
 
     def __enter__(self) -> "WorkStealingExecutor":
         return self

@@ -55,13 +55,16 @@ def ask(system: ActorSystem, target: ActorRef, payload: Any,
     the sender, and blocks (the *caller*, never the target) until the
     reply lands or the timeout expires.
 
-    Call it from outside the actors.  Inside a handler of the threaded
-    system it blocks a dispatch worker, and the reply actor's first job
-    can sit in that worker's run-next slot until the wait times out.
+    Inside a handler of the threaded system the call blocks one
+    dispatch worker, so the worker first hands its run-next slot task
+    (the reply actor's first job) to the shared queue, where another
+    worker runs it.  With one worker nobody else can, and the call
+    times out.
     """
     future = PoolFuture()
     collector = system.spawn(_ReplyCollector, future, name="ask-reply")
     target.tell(Ask(payload), sender=collector)
+    system._executor.yield_slot()
     return future.result(timeout)
 
 

@@ -1,9 +1,13 @@
 """Fixed thread pool + futures — the course's "thread pool arithmetic
 program" (the week-1 lab students run while watching CPU utilization).
 
-A :class:`ThreadPool` owns N worker JThreads draining one BlockingQueue
-of work items; :meth:`submit` returns a :class:`PoolFuture`.  Shutdown
-is cooperative via queue close — no poison pills in user code.
+A :class:`ThreadPool` runs N workers draining one BlockingQueue of
+work items; :meth:`submit` returns a :class:`PoolFuture`.  Each worker
+is a job on a thread borrowed from the process-wide cache
+(:mod:`repro.threads.cache`), not a thread of its own, so a short-lived
+pool does not pay for starting and joining OS threads.  Shutdown is
+cooperative via queue close — no poison pills in user code — and
+``shutdown(wait=True)`` waits for every worker to leave its loop.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterable, Optional, TypeVar
 
+from .cache import run_on_thread
 from .collections import BlockingQueue, QueueClosed
-from .jthread import JThread
 from .sync import Monitor
 
 __all__ = ["PoolFuture", "ThreadPool", "parallel_map"]
@@ -87,19 +91,27 @@ class ThreadPool:
         self._queue: BlockingQueue = BlockingQueue(queue_capacity,
                                                    f"{name}.queue",
                                                    profiler=profiler)
-        self._workers = [
-            JThread(target=self._worker_loop, name=f"{name}-w{i}",
-                    daemon=True, profiler=profiler)
-            for i in range(workers)]
-        for w in self._workers:
-            w.start()
         self._shut = False
         self._submitted = 0
         self._completed = 0
         self._stats_lock = threading.Lock()
+        #: one exit latch per worker: a lock held until it leaves its loop
+        self._exited = [threading.Lock() for _ in range(workers)]
+        self._tls = threading.local()
+        for i, exited in enumerate(self._exited):
+            exited.acquire()
+            run_on_thread(lambda e=exited: self._worker_loop(e),
+                          f"{name}-w{i}")
 
     # ------------------------------------------------------------------
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, exited: threading.Lock) -> None:
+        self._tls.exited = exited
+        try:
+            self._drain()
+        finally:
+            exited.release()
+
+    def _drain(self) -> None:
         while True:
             try:
                 fn, args, future, ctx = self._queue.take()
@@ -151,12 +163,17 @@ class ThreadPool:
         return [f.result() for f in futures]
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting work; optionally join workers after draining."""
+        """Stop accepting work; optionally wait for the workers to drain
+        the queue and leave their loops (not for the calling worker)."""
         self._shut = True
         self._queue.close()
         if wait:
-            for w in self._workers:
-                w.join()
+            # every worker but the one that may be calling
+            me = getattr(self._tls, "exited", None)
+            for exited in self._exited:
+                if exited is not me:
+                    exited.acquire()
+                    exited.release()
 
     @property
     def stats(self) -> dict[str, int]:
@@ -164,7 +181,7 @@ class ThreadPool:
             return {"submitted": self._submitted,
                     "completed": self._completed,
                     "queued": len(self._queue),
-                    "workers": len(self._workers)}
+                    "workers": len(self._exited)}
 
     def __enter__(self) -> "ThreadPool":
         return self

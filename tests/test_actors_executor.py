@@ -17,7 +17,7 @@ import tracemalloc
 
 import pytest
 
-from repro.actors import Actor, ActorSystem, SupervisionDirective
+from repro.actors import Actor, ActorSystem, SupervisionDirective, ask
 from repro.actors.executor import WorkStealingExecutor
 from repro.obs import CausalTracer, Metrics
 
@@ -440,6 +440,40 @@ class TestFairRequeue:
         assert log[0] == "hold"
         assert log.index("other") <= 1 + 4, log[:12]
         assert [m for m in log if isinstance(m, int)] == list(range(40))
+
+
+class TestAskInsideAHandler:
+    def test_every_answer_arrives_while_the_asker_blocks_its_worker(self):
+        """A handler asks another actor three times.  The reply actor's
+        first job lands in the blocked worker's run-next slot; ask moves
+        it to the shared queue before blocking, so another worker runs
+        it and every answer arrives at once instead of at the timeout."""
+        class Echo(Actor):
+            def receive(self, message, sender):
+                sender.tell(message.payload)
+
+        class Asker(Actor):
+            def __init__(self, echo, out, done):
+                super().__init__()
+                self.echo, self.out, self.done = echo, out, done
+
+            def receive(self, message, sender):
+                for i in range(3):
+                    t0 = time.monotonic()
+                    try:
+                        answer = ask(system, self.echo, i, timeout=2.0)
+                    except TimeoutError:
+                        answer = "timeout"
+                    self.out.append((answer, time.monotonic() - t0))
+                self.done.set()
+
+        out, done = [], threading.Event()
+        with ActorSystem(workers=4) as system:
+            echo = system.spawn(Echo, name="echo")
+            system.spawn(Asker, echo, out, done, name="asker").tell("go")
+            assert done.wait(timeout=10)
+        assert [answer for answer, _ in out] == [0, 1, 2]
+        assert max(took for _, took in out) < 0.5
 
 
 class TestQuiescence:
