@@ -225,10 +225,13 @@ def cluster_bus(protocols: Optional[Iterable[Any]] = None) -> MonitorBus:
     """A MonitorBus wired with only the cluster detectors — the usual
     companion of ``ClusterNode(monitors=...)``.
 
-    ``protocols`` adds a :class:`~repro.obs.ProtocolMonitor` over the
-    given :class:`~repro.obs.Protocol` specs; the node finds it by its
-    conformance rows and checks every send, delivery and local
-    fast-path message against them (no sampling)."""
+    The bus sees a node's rare events (park, stage, retry, suspect,
+    down, dead letter, ...), which the two detectors read; per-message
+    send/recv/local events go only to the trace log and the flight
+    recorder.  ``protocols`` adds a :class:`~repro.obs.ProtocolMonitor`
+    over the given :class:`~repro.obs.Protocol` specs; the node finds
+    it by its conformance rows and checks every send, delivery and
+    local fast-path message against them inline (no sampling)."""
     detectors = cluster_detectors()
     if protocols is not None:
         from ..obs.protocol import ProtocolMonitor

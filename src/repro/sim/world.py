@@ -22,11 +22,11 @@ same protocol state.
 
 Nodes run with ``timer=False`` (no timer thread — ticks are decisions),
 an :class:`~repro.sim.inline.InlineActorSystem` (no dispatch threads —
-actor runs are decisions), ``trace=True`` (synchronous conformance, no
-pump thread), and the world's :class:`~repro.sim.clock.SimClock` as
-both ``clock`` and ``wall`` so retries/heartbeats/timeouts *and* the
-timestamps on exported traces are virtual — a replayed run is
-byte-comparable.
+actor runs are decisions), ``trace=True`` (a trace log, so a protocol
+violation carries its logged event's step), and the world's
+:class:`~repro.sim.clock.SimClock` as both ``clock`` and ``wall`` so
+retries/heartbeats/timeouts *and* the timestamps on exported traces are
+virtual — a replayed run is byte-comparable.
 
 Crash semantics are SIGSTOP-style: a crashed node keeps its state but
 is never ticked, its actors never run, its links are cut and their
