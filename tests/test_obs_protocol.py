@@ -9,6 +9,7 @@ and combinators, the compiled automaton, the payload classifiers, the
 """
 
 import json
+from collections import namedtuple
 
 import pytest
 
@@ -140,6 +141,15 @@ class TestClassifiers:
         assert message_kind(payload) == kind
         # the classification cache must not change the answer
         assert message_kind(payload) == kind
+
+    def test_type_cache_never_answers_for_a_sequence_type(self):
+        # a payload type classified once is answered from a type cache
+        # after; a tuple type must stay out of it, as its head decides
+        Pair = namedtuple("Pair", "head tail")
+        assert message_kind(Pair(1, 2)) == "pair"
+        assert message_kind(Pair("go", 2)) == "go"
+        assert message_kind(()) == "tuple"
+        assert message_kind(("stop",)) == "stop"
 
     @pytest.mark.parametrize("text,kind", [
         ("('req', 1)", "req"),
