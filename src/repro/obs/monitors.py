@@ -340,9 +340,9 @@ class MonitorBus:
         self._seen: set = set()
         self._finished = False
         self.events_seen = 0
-        #: called with each *new* (deduplicated) hazard — event sources
-        #: hook their incident paths here (a ClusterNode triggers a
-        #: telemetry postmortem when a protocol violation lands)
+        #: called with each *new* (deduplicated) hazard, for the bus's
+        #: owner (a ClusterNode escalates the violations it flags itself,
+        #: because one bus may serve several nodes)
         self.on_hazard: Optional[callable] = None
 
     def feed(self, event: "TraceEvent", ready: tuple = ()) -> None:
@@ -367,14 +367,16 @@ class MonitorBus:
         self.finish(trace.outcome, trace.detail)
         return self.hazards
 
-    def _add(self, hz: Hazard) -> None:
-        if hz.key not in self._seen:
-            self._seen.add(hz.key)
-            self.hazards.append(hz)
-            if self.on_hazard is not None:
-                self.on_hazard(hz)
+    def _add(self, hz: Hazard) -> bool:
+        if hz.key in self._seen:
+            return False
+        self._seen.add(hz.key)
+        self.hazards.append(hz)
+        if self.on_hazard is not None:
+            self.on_hazard(hz)
+        return True
 
-    def publish(self, hazard: Hazard) -> None:
+    def publish(self, hazard: Hazard) -> bool:
         """Report an externally detected hazard on this bus.
 
         The detectors above watch the event stream; some hazard sources
@@ -383,8 +385,9 @@ class MonitorBus:
         from any single event.  ``publish`` gives them the same
         first-class treatment (dedup by ``Hazard.key``, severity
         ranking, ``flagged``/``counts``/``format``) as detector output.
+        Returns False when the hazard duplicates one already reported.
         """
-        self._add(hazard)
+        return self._add(hazard)
 
     # ------------------------------------------------------------------
     @property

@@ -304,6 +304,34 @@ class TestPostmortemOffTheMessagePath:
                 _close(a, b, c)
 
 
+class TestSharedBusEscalation:
+    def test_violation_reaches_the_node_that_flagged_it(self):
+        # a and b share one bus and only b has an agent: the violation
+        # flagged on b's delivery is b's incident, whichever node was
+        # built first
+        for trace in MODES:
+            hub = LoopbackHub()
+            bus = cluster_bus(protocols=[BOOT()])
+            a = ClusterNode("a", hub.join("a"), workers=2, monitors=bus,
+                            trace=trace, timer=False)
+            b = ClusterNode("b", hub.join("b"), workers=2, monitors=bus,
+                            trace=trace, timer=False)
+            agent = TelemetryAgent().attach(b)
+            try:
+                a.connect("b")
+                b.connect("a")
+                b.spawn(Sink, name="worker")
+                a.ref("b/worker").tell(("work", 1))  # WORK before INIT
+                assert a.drain() and b.drain()
+                assert len(_protocol_hazards(bus)) == 1, trace
+                pm = _await_postmortem(agent)
+                assert pm["node"] == "b", trace
+                assert pm["detail"]["subject"] == "boot@worker"
+                assert bus.on_hazard is None         # left to the owner
+            finally:
+                _close(a, b)
+
+
 class TestTelemetryIntegration:
     def _cluster(self, tmp_path):
         clock = [0.0]

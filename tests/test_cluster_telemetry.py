@@ -13,6 +13,7 @@ shared fake wall clock, so window math is exact.
 """
 
 import json
+import time
 
 from repro.actors import Actor
 from repro.cluster import ClusterConfig, ClusterNode, LoopbackHub
@@ -267,6 +268,38 @@ def test_graceful_close_dumps_node_stop_bundle(tmp_path):
     assert any("node-stop" in f for f in files)
     # force: the long cooldown above could not have suppressed it
     assert len(c.tb.postmortems) == 1
+
+
+def test_close_asks_silent_peers_at_once():
+    """The ``node-stop`` postmortem asks every alive peer for its flight
+    window under one 1 s deadline, not 1 s per silent peer; a peer that
+    answers still lands in the bundle."""
+    hub = LoopbackHub()
+    config = ClusterConfig(flight_sample=1)
+    nodes = {n: ClusterNode(n, hub.join(n), config=config, timer=False)
+             for n in ("a", "b", "c", "d", "e")}
+    TelemetryAgent().attach(nodes["e"])
+    agent = TelemetryAgent().attach(nodes["a"])
+    try:
+        for peer in "bcde":
+            nodes["a"].connect(peer)
+        nodes["e"].spawn(Echo, name="echo")
+        nodes["a"].ref("e/echo").tell("hi")   # something in e's window
+        assert nodes["a"].drain() and nodes["e"].drain()
+        for peer in "bcd":
+            hub.partition("a", peer)          # alive, but silent
+        t0 = time.monotonic()
+        nodes["a"].close()
+        took = time.monotonic() - t0
+        pm = agent.postmortems[-1]
+        assert pm["kind"] == "node-stop"
+        assert set(pm["events"]) == {"a", "e"}
+        assert took < 2.0, took
+    finally:
+        for peer in "bcd":
+            hub.heal("a", peer)
+        for n in nodes.values():
+            n.close()
 
 
 def test_telemetry_frames_are_fire_and_forget():
