@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterator, Optional
 
-from ..core.effects import Effect, Receive, Send, Spawn
+from ..core.effects import Effect, Receive, Send, Spawn, message_kind
 from ..core.mailbox import DeliveryPolicy, Mailbox
 from ..core.scheduler import Scheduler
 from .cell import ActorRuntime, Cell, StopSignal
@@ -58,6 +58,15 @@ class _SimEnvelope:
     def __repr__(self) -> str:
         who = self.sender.name if self.sender else "ext"
         return f"{self.payload!r}<-{who}"
+
+
+def _send(mailbox: Mailbox, envelope: _SimEnvelope) -> Send:
+    """The Send of a wrapped message, classified by its payload (the
+    kind of the message the actor sent, not of its wrapper).  A stop
+    signal is no protocol message and has no kind."""
+    payload = envelope.payload
+    return Send(mailbox, envelope, None if isinstance(payload, StopSignal)
+                else message_kind(payload))
 
 
 class _SimCell(Cell):
@@ -167,13 +176,13 @@ class SimActorSystem(ActorRuntime):
                  sender: Optional[ActorRef] = None) -> Iterator[Effect]:
         """Send from driver/kernel code (asynchronous, one Send effect)."""
         cell = self._cell_of(ref)
-        yield Send(cell.mailbox, _SimEnvelope(message, sender))
+        yield _send(cell.mailbox, _SimEnvelope(message, sender))
 
     def stop_gen(self, ref: ActorRef) -> Iterator[Effect]:
         """Stop an actor from driver code (graceful: queued messages
         delivered first under FIFO policies)."""
         cell = self._cell_of(ref)
-        yield Send(cell.mailbox, _SimEnvelope(StopSignal(), None))
+        yield _send(cell.mailbox, _SimEnvelope(StopSignal(), None))
 
     def ask_gen(self, ref: ActorRef, payload: Any,
                 name: str = "ask") -> Iterator[Effect]:
@@ -181,7 +190,7 @@ class SimActorSystem(ActorRuntime):
         reply_box = Mailbox(f"{name}-reply", policy=self.mailbox_policy)
         reply_ref = _ReplyRef(self, reply_box, name)
         cell = self._cell_of(ref)
-        yield Send(cell.mailbox, _SimEnvelope(payload, reply_ref))
+        yield _send(cell.mailbox, _SimEnvelope(payload, reply_ref))
         envelope = yield Receive(reply_box)
         return envelope.payload
 
@@ -210,7 +219,7 @@ class SimActorSystem(ActorRuntime):
         """Issue the effects the handler buffered."""
         for kind, target, envelope in cell._pending_effects:
             if kind == "send":
-                yield Send(target.mailbox, envelope)
+                yield _send(target.mailbox, envelope)
             elif kind == "spawn":
                 yield Spawn(self._actor_loop(target), name=target.ref.name,
                             daemon=True)

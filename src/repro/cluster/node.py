@@ -416,9 +416,9 @@ class _Observer:
                             continue
                         # flow ids dedup a violation seen from both
                         # link ends; only violations (rare) pay for one
-                        hz = flag(actor, token, self.name,
-                                  self.node._step if step is None
-                                  else step,
+                        hz = flag(self.node._step if step is None
+                                  else step, f"{self.name}/{actor}",
+                                  actor, token,
                                   None if seq is None
                                   else self.flow(origin, dest, seq), oob)
                         if hz is not None:
@@ -442,30 +442,27 @@ class _Observer:
     def _record(self, kind: str, actor: str, peer: str,
                 msg_seq: Optional[int], recv_seq: Optional[int],
                 extra: Optional[dict], bus: Any) -> Optional[int]:
-        """Feed one event to the flight recorder, the trace log and
-        ``bus``, those of them that exist; returns the logged event's
-        step."""
+        """Feed one event to the trace log, the flight recorder and
+        ``bus``, those of them that exist; returns the event's step."""
         rec, log = self.rec, self.log
         if rec is None and log is None and bus is None:
             return None
         ts = self.wall()
-        if rec is not None:
-            # inlined FlightRecorder.record: no lock, since
-            # deque.append with maxlen is GIL-atomic
-            rec._n += 1
-            rec._dq.append((kind, actor, peer, msg_seq, recv_seq, ts, extra))
-        if log is None and bus is None:
-            return None
         node = self.node
+        # every sink keeps this one record, numbered by the node's step;
+        # with the recorder alone, bulk events are sampled, so the lock
+        # is taken for 1 in ``flight_sample`` messages
         with node._trace_lock:
             node._step += 1
             event = ClusterEvent(kind, self.name, actor, peer, node._step,
                                  ts, msg_seq, recv_seq, extra)
             if log is not None:
                 log.append(event)
+        if rec is not None:
+            rec.record(event)
         if bus is not None:
             try:
-                bus.feed(event)
+                bus.feed_cluster(event)
             except Exception:
                 node._sink_error()
         return event.step
@@ -736,7 +733,6 @@ class ClusterNode:
         its frame cadence, TELEMETRY frames route to it, and incidents
         (actor failure, peer DOWN) trigger its postmortems."""
         agent.node = self
-        agent.recorder.node = self.name
         self.telemetry = agent
         self._observe()
         return agent
@@ -1233,7 +1229,7 @@ class ClusterNode:
             reply["profile"] = self.profiler.snapshot()
         if want.get("trace") and self.trace_events is not None:
             with self._trace_lock:
-                reply["trace"] = [e.as_dict() for e in self.trace_events]
+                reply["trace"] = [e._asdict() for e in self.trace_events]
         tele = self.telemetry
         if tele is not None:
             if want.get("telemetry"):

@@ -2,13 +2,11 @@
 
 Three pieces let the PR 2–4 tooling see through process boundaries:
 
-* :class:`ClusterEvent` — the node's trace record.  It duck-types the
-  kernel's :class:`~repro.core.trace.TraceEvent` surface
-  (``step``/``task_name``/``effect_repr``/``obj_name``…) with
-  ``obj_name is None`` and ``recv_mbox is None``, so it can ride the
-  existing :class:`~repro.obs.monitors.MonitorBus` without tripping the
-  lock/mailbox interpretation meant for kernel events — only detectors
-  that understand ``cluster-*`` kinds react to it.
+* :class:`ClusterEvent` — the one record of a node event: the trace
+  log, the flight recorder and the monitor bus hold it, STATUS replies
+  and flight dumps ship its dict form.  The bus hands it to each
+  detector's ``on_cluster``; the kernel's
+  :class:`~repro.obs.monitors.KernelView` never sees it.
 * :func:`merge_profiles` / :func:`merge_chrome_traces` — fold per-node
   :class:`~repro.obs.Metrics` snapshots into one snapshot-shaped
   report (counters sum, gauges max, histograms stay per-node —
@@ -25,8 +23,7 @@ Three pieces let the PR 2–4 tooling see through process boundaries:
 
 from __future__ import annotations
 
-import zlib
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 from ..obs.monitors import Detector, Hazard, MonitorBus
 
@@ -35,80 +32,25 @@ __all__ = ["ClusterEvent", "ClusterSaturationDetector",
            "merge_profiles", "merge_chrome_traces"]
 
 
-class ClusterEvent:
+class ClusterEvent(NamedTuple):
     """One node-level occurrence (send, receive, retry, suspect, ...).
 
-    The ``task_*``/``effect_repr``/``obj_name`` attributes exist solely
-    so :meth:`repro.obs.monitors.KernelView.feed` can absorb the event
-    without special-casing: ``obj_name=None`` skips every lock branch,
-    ``recv_mbox=None`` skips mailbox accounting (cluster flow ids are
-    hashes, not deposit-ordered sequence numbers, so the kernel's
-    message-order detector must not compare them).
+    ``step`` numbers the node's events; ``msg_seq``/``recv_seq`` are
+    the flow id of a message sent/received, equal on both link ends;
+    ``extra`` holds the kind's details (``None`` when it has none).
+    ``_asdict()`` is the dict form shipped in STATUS replies and
+    flight dumps; ``ClusterEvent(**d)`` reads it back.
     """
 
-    __slots__ = ("kind", "node", "actor", "peer", "step", "ts",
-                 "msg_seq", "recv_seq", "extra")
-
-    def __init__(self, kind: str, node: str, actor: str = "",
-                 peer: str = "", step: int = 0, ts: float = 0.0,
-                 msg_seq: Optional[int] = None,
-                 recv_seq: Optional[int] = None,
-                 extra: Optional[dict] = None):
-        self.kind = kind
-        self.node = node
-        self.actor = actor
-        self.peer = peer
-        self.step = step
-        self.ts = ts
-        self.msg_seq = msg_seq
-        self.recv_seq = recv_seq
-        self.extra = extra if extra is not None else {}
-
-    # -- TraceEvent duck-typing (see class docstring) -------------------
-    task_ltid = -1
-    obj_name = None
-    recv_mbox = None
-    vclock = None
-    access_var = None
-    access_kind = None
-
-    @property
-    def task_name(self) -> str:
-        return f"{self.node}/{self.actor}" if self.actor else self.node
-
-    @property
-    def task_tid(self) -> int:
-        # stable per-node pseudo-tid so KernelView keys stay consistent
-        # even across processes — crc32, not the builtin hash, because
-        # string hashing is randomized per process (PYTHONHASHSEED) and
-        # merged traces combine events minted by different nodes
-        return zlib.crc32(f"cluster-node|{self.node}".encode()) & 0x3FFFFFFF
-
-    @property
-    def effect_repr(self) -> str:
-        return f"{self.kind} {self.peer or self.actor}".rstrip()
-
-    @property
-    def payload_repr(self) -> str:
-        return repr(self.extra)
-
-    # -- (de)serialization for STATUS replies / merged traces -----------
-    def as_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "node": self.node, "actor": self.actor,
-                "peer": self.peer, "step": self.step, "ts": self.ts,
-                "msg_seq": self.msg_seq, "recv_seq": self.recv_seq,
-                "extra": self.extra}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ClusterEvent":
-        return cls(d["kind"], d["node"], d.get("actor", ""),
-                   d.get("peer", ""), d.get("step", 0), d.get("ts", 0.0),
-                   d.get("msg_seq"), d.get("recv_seq"),
-                   d.get("extra") or {})
-
-    def __repr__(self) -> str:
-        return (f"<ClusterEvent {self.kind} node={self.node} "
-                f"actor={self.actor} peer={self.peer} step={self.step}>")
+    kind: str
+    node: str
+    actor: str = ""
+    peer: str = ""
+    step: int = 0
+    ts: float = 0.0
+    msg_seq: Optional[int] = None
+    recv_seq: Optional[int] = None
+    extra: Optional[dict] = None
 
 
 # ===========================================================================
@@ -133,8 +75,8 @@ class ClusterSaturationDetector(Detector):
         self._saturated: set = set()
         self._parked: set = set()
 
-    def on_event(self, view, event, ready) -> Iterable[Hazard]:
-        kind = getattr(event, "kind", "")
+    def on_cluster(self, event) -> Iterable[Hazard]:
+        kind = event.kind
         if kind == "cluster-stage":
             staged = event.extra.get("staged", 0)
             target = (event.node, event.actor)
@@ -143,7 +85,7 @@ class ClusterSaturationDetector(Detector):
                 self._saturated.add(target)
                 yield Hazard(
                     kind="cluster-mailbox-saturation", severity="warning",
-                    step=event.step, tasks=(event.task_name,),
+                    step=event.step, tasks=(f"{event.node}/{event.actor}",),
                     objects=(event.actor,),
                     message=f"remote mailbox of {event.actor!r} on node "
                             f"{event.node!r} is full and {staged} more "
@@ -155,7 +97,7 @@ class ClusterSaturationDetector(Detector):
                 self._parked.add(path)
                 yield Hazard(
                     kind="cluster-backpressure", severity="info",
-                    step=event.step, tasks=(event.task_name,),
+                    step=event.step, tasks=(f"{event.node}/{event.actor}",),
                     objects=(path,),
                     message=f"sender on node {event.node!r} parked on "
                             f"credit for {path!r}: backpressure is "
@@ -179,8 +121,8 @@ class SuspectLossDetector(Detector):
         self._down: set = set()
         self._lost = 0
 
-    def on_event(self, view, event, ready) -> Iterable[Hazard]:
-        kind = getattr(event, "kind", "")
+    def on_cluster(self, event) -> Iterable[Hazard]:
+        kind = event.kind
         if kind == "cluster-suspect":
             unacked = event.extra.get("unacked", 0)
             key = (event.node, event.peer)
@@ -281,14 +223,13 @@ def merge_chrome_traces(node_events: dict[str, list]) -> dict[str, Any]:
     flow arrow, drawing the message's hop across the process boundary.
     Load the result in ``chrome://tracing`` / Perfetto.
 
-    ``node_events`` values may be :class:`ClusterEvent` objects or their
-    ``as_dict`` forms (as shipped in STATUS replies).
+    ``node_events`` values may be :class:`ClusterEvent` records or their
+    dict forms (as shipped in STATUS replies and flight dumps).
     """
     normalized: dict[str, list[ClusterEvent]] = {}
     t0 = None
     for node in sorted(node_events):
-        events = [e if isinstance(e, ClusterEvent)
-                  else ClusterEvent.from_dict(e)
+        events = [e if isinstance(e, ClusterEvent) else ClusterEvent(**e)
                   for e in node_events[node]]
         normalized[node] = events
         for e in events:
@@ -302,16 +243,17 @@ def merge_chrome_traces(node_events: dict[str, list]) -> dict[str, Any]:
                     "name": "process_name", "args": {"name": node}})
         for e in normalized[node]:
             ts = max(0.0, (e.ts - t0)) * 1e6
+            extra = e.extra or {}
             out.append({
                 "ph": "i", "s": "t", "pid": pid, "tid": 1, "ts": ts,
                 "name": e.kind, "cat": "cluster",
                 "args": {"actor": e.actor, "peer": e.peer,
-                         "step": e.step, **e.extra},
+                         "step": e.step, **extra},
             })
             # a traced message carries its request id onto the flow
             # arrow, so Perfetto can filter one request's hops out of
             # the whole cluster's arrows
-            req = e.extra.get("request_id")
+            req = extra.get("request_id")
             if e.msg_seq is not None:
                 rec: dict[str, Any] = {
                     "ph": "s", "pid": pid, "tid": 1, "ts": ts,

@@ -15,6 +15,7 @@ recorded sequence of decisions replays an execution exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Optional, Sequence
@@ -30,6 +31,7 @@ __all__ = [
     "Wait",
     "Notify",
     "Send",
+    "message_kind",
     "Receive",
     "Spawn",
     "Join",
@@ -149,13 +151,74 @@ class Notify(Effect):
         return frozenset({("lock", id(self.monitor), "w")})
 
 
+#: head string / tuple or list type -> kind token.  Classification runs
+#: once per distinct message shape instead of once per message; the
+#: clear() bound keeps a pathological stream of unique heads from
+#: growing it without limit.
+_KIND_CACHE: dict = {}
+#: payload type -> kind token, for the types that classify by type
+#: name whatever their value (all but str, tuple, list and their
+#: subclasses)
+_TYPE_KINDS: dict = {}
+#: "not given / not cached" sentinel: None is a valid kind
+_UNSET = object()
+
+
+def message_kind(message: Any) -> Optional[str]:
+    """The protocol kind of a message — the one classifier every runtime
+    uses, applied once, when the message is sent.
+
+    Tagged tuples/lists classify by their string head, strings by
+    themselves, everything else by type name — the conventions every
+    actor example in this repo already follows (the paper's
+    ``MESSAGE.name(v)``).  ``None`` when the head is not a kind token.
+    """
+    got = _TYPE_KINDS.get(type(message))
+    if got is not None:
+        return got
+    if isinstance(message, (tuple, list)):
+        key: Any = message[0] if message and isinstance(message[0], str) \
+            else type(message)
+    elif isinstance(message, str):
+        key = message
+    else:
+        if len(_TYPE_KINDS) > 4096:
+            _TYPE_KINDS.clear()
+        got = _TYPE_KINDS[type(message)] = type(message).__name__.lower()
+        return got
+    got = _KIND_CACHE.get(key, _UNSET)
+    if got is _UNSET:
+        if len(_KIND_CACHE) > 4096:
+            _KIND_CACHE.clear()
+        got = _KIND_CACHE[key] = (
+            _norm_kind(key) if isinstance(key, str)
+            else key.__name__.lower())
+    return got
+
+
+def _norm_kind(token: str) -> Optional[str]:
+    token = token.lower()
+    return token if re.fullmatch(r"[\w.-]+", token) else None
+
+
 @dataclass(frozen=True)
 class Send(Effect):
     """Asynchronous message send — never blocks (Hewitt/actor semantics,
-    and the paper's 'a send statement is asynchronous')."""
+    and the paper's 'a send statement is asynchronous').
+
+    ``kind`` is the message's protocol kind, recorded on the step's
+    :class:`~repro.core.trace.TraceEvent` (``msg_kind``).  It defaults
+    to :func:`message_kind` of ``message``; a runtime that wraps its
+    payload in an envelope passes the payload's kind instead.
+    """
 
     mailbox: Any
     message: Any
+    kind: Optional[str] = _UNSET  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.kind is _UNSET:
+            object.__setattr__(self, "kind", message_kind(self.message))
 
     def footprint(self) -> frozenset:
         return frozenset({("mbox", id(self.mailbox), "w")})

@@ -161,12 +161,13 @@ class Scheduler:
         self._access_seen = False
         #: spawn-order id of the previously executed task (ctx switches)
         self._last_ran_ltid: Optional[int] = None
-        #: sync-object name / envelope seqs of the step being executed,
-        #: published into its TraceEvent (trace-export flow pairing)
+        #: sync-object name / envelope seqs / sent message kind of the
+        #: step being executed, published into its TraceEvent
         self._evt_obj_name: Optional[str] = None
         self._evt_msg_seq: Optional[int] = None
         self._evt_recv_seq: Optional[int] = None
         self._evt_recv_mbox: Optional[str] = None
+        self._evt_msg_kind: Optional[str] = None
 
     # ------------------------------------------------------------------
     # task creation
@@ -344,6 +345,7 @@ class Scheduler:
         self._evt_msg_seq = None
         self._evt_recv_seq = None
         self._evt_recv_mbox = None
+        self._evt_msg_kind = None
 
         if m is not None:
             m.inc("steps")
@@ -484,7 +486,7 @@ class Scheduler:
             frozenset([self._stable_token(t) for t in step_fp])
             if step_fp is not None else None,
             enabled, self._evt_obj_name, self._evt_msg_seq,
-            self._evt_recv_seq, self._evt_recv_mbox)
+            self._evt_recv_seq, self._evt_recv_mbox, self._evt_msg_kind)
         self.trace.events.append(event)
         if bus is not None:
             bus.feed(event, ready_names)
@@ -586,6 +588,7 @@ class Scheduler:
         env = mailbox._deposit(effect.message, task)
         self._evt_obj_name = mailbox.name
         self._evt_msg_seq = env.seq
+        self._evt_msg_kind = effect.kind
         if m is not None:
             depth = len(mailbox.pending)
             m.inc("messages_sent")

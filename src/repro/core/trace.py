@@ -72,6 +72,9 @@ class TraceEvent:
     recv_seq: Optional[int] = None
     #: mailbox the delivered message came from
     recv_mbox: Optional[str] = None
+    #: protocol kind of the message *sent* this step (the Send effect's
+    #: ``kind``), set with ``msg_seq``; a delivery's kind is its send's
+    msg_kind: Optional[str] = None
 
     def __init__(self, step: int, task_tid: int, task_name: str, kind: str,
                  effect_repr: str, chosen_index: int, fanout: int,
@@ -85,7 +88,8 @@ class TraceEvent:
                  obj_name: Optional[str] = None,
                  msg_seq: Optional[int] = None,
                  recv_seq: Optional[int] = None,
-                 recv_mbox: Optional[str] = None) -> None:
+                 recv_mbox: Optional[str] = None,
+                 msg_kind: Optional[str] = None) -> None:
         _set(self, "__dict__", {
             "step": step, "task_tid": task_tid, "task_name": task_name,
             "kind": kind, "effect_repr": effect_repr,
@@ -94,7 +98,8 @@ class TraceEvent:
             "access_kind": access_kind, "payload_repr": payload_repr,
             "task_ltid": task_ltid, "footprint": footprint,
             "enabled": enabled, "obj_name": obj_name, "msg_seq": msg_seq,
-            "recv_seq": recv_seq, "recv_mbox": recv_mbox})
+            "recv_seq": recv_seq, "recv_mbox": recv_mbox,
+            "msg_kind": msg_kind})
 
     def describe(self, show_clock: bool = False) -> str:
         extra = f" [{self.payload_repr}]" if self.payload_repr else ""

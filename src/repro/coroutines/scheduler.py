@@ -372,7 +372,7 @@ class CoChannel:
         self.sched = sched
         self.name = name or f"chan-{next(_chan_ids)}"
         self._items: deque = deque()
-        #: per-item ``(seq, sender-name)`` of a tapped channel's sends
+        #: per-item send seq of a tapped channel
         self._meta: deque = deque()
         # wakes trim a wait list in place, so its markers are built once
         self._getters, self._putters = _Park(), _Park()
@@ -382,23 +382,23 @@ class CoChannel:
         self._tapped = sched is not None and sched.monitors is not None
         self.closed = False
 
-    def _tap(self, item: Any, seq: int = 0,
-             sender: Optional[str] = None) -> None:
-        """Feed the bus a send event (no ``sender``) or a deliver one."""
+    def _tap(self, item: Any, seq: Optional[int] = None) -> None:
+        """Feed the bus a send event (no ``seq``) or the delivery of the
+        send numbered ``seq``."""
         s, task = self.sched, self.sched.current
         ready = (task.name if task is not None else "?",) + tuple(
             t.name for t in s.ready)
-        if sender is None:
+        if seq is None:
+            from ..core.effects import message_kind
             s._chan_seq += 1
-            seq = s._chan_seq
-            self._meta.append((seq, ready[0]))
+            self._meta.append(s._chan_seq)
             s._obs._feed(task, f"send {item!r} to {self.name}", ready,
-                         obj_name=self.name, msg_seq=seq)
+                         obj_name=self.name, msg_seq=s._chan_seq,
+                         msg_kind=message_kind(item))
         else:
-            s._obs._feed(
-                task, f"recv from {self.name}", ready, kind="deliver",
-                payload_repr=f"<Envelope #{seq} {item!r} from {sender}>",
-                recv_seq=seq, recv_mbox=self.name)
+            s._obs._feed(task, f"recv from {self.name}", ready,
+                         kind="deliver", payload_repr=repr(item),
+                         recv_seq=seq, recv_mbox=self.name)
 
     def put(self, item: Any) -> Iterator[Any]:
         while len(self._items) >= self.capacity and not self.closed:
@@ -418,7 +418,7 @@ class CoChannel:
             raise ChannelClosed("get on closed drained channel")
         item = self._items.popleft()
         if self._meta:   # tapped: attribute the delivery to its send
-            self._tap(item, *self._meta.popleft())
+            self._tap(item, self._meta.popleft())
         if self._putters:
             yield self._wake_put
         return item

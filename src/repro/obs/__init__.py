@@ -60,9 +60,8 @@ from .monitors import (DeadlockDetector, Detector, FailureDetector, Hazard,
                        MonitorBus, RaceDetector, StarvationDetector,
                        WitnessDetector, default_detectors, trace_locksets)
 from .protocol import (PExpr, Protocol, ProtocolMachine, ProtocolMonitor,
-                       at_most_one_outstanding, kind_from_repr,
-                       message_kind, protocol_bus, request_reply,
-                       turn_taking)
+                       at_most_one_outstanding, message_kind,
+                       protocol_bus, request_reply, turn_taking)
 from .report import html_report
 from .telemetry import (SLO, Aggregator, Alert, FlightRecorder, SLOEngine,
                         TelemetryAgent, TimeSeries, default_slos,
@@ -83,7 +82,7 @@ __all__ = [
     "FlightRecorder", "TelemetryAgent", "default_slos", "render_top",
     "PExpr", "Protocol", "ProtocolMachine", "ProtocolMonitor",
     "protocol_bus", "turn_taking", "at_most_one_outstanding",
-    "request_reply", "message_kind", "kind_from_repr",
+    "request_reply", "message_kind",
     "SEGMENTS", "CausalTracer", "RequestContext", "current_context",
     "Span", "RequestTrace", "build_requests", "critical_path",
     "critical_report", "whatif_report", "rank_targets", "parse_speedup",

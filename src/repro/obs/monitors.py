@@ -306,14 +306,19 @@ class Detector:
 
     ``on_event`` is called after the :class:`KernelView` absorbed the
     event; ``ready`` carries the names of tasks that were runnable when
-    the step was chosen (online feeds only).  ``on_end`` fires once
-    with the run's outcome.  Both return iterables of :class:`Hazard`.
+    the step was chosen (online feeds only).  ``on_cluster`` gets a
+    cluster node's :class:`~repro.cluster.observe.ClusterEvent`, which
+    the view never sees.  ``on_end`` fires once with the run's outcome.
+    All three return iterables of :class:`Hazard`.
     """
 
     name = "detector"
 
     def on_event(self, view: KernelView, event: "TraceEvent",
                  ready: tuple) -> Iterable[Hazard]:
+        return ()
+
+    def on_cluster(self, event) -> Iterable[Hazard]:
         return ()
 
     def on_end(self, view: KernelView, outcome: str,
@@ -350,6 +355,14 @@ class MonitorBus:
         self.view.feed(event)
         for det in self.detectors:
             for hz in det.on_event(self.view, event, ready):
+                self._add(hz)
+
+    def feed_cluster(self, event) -> None:
+        """One cluster-node event: to each detector's ``on_cluster``,
+        bypassing the kernel view."""
+        self.events_seen += 1
+        for det in self.detectors:
+            for hz in det.on_cluster(event):
                 self._add(hz)
 
     def finish(self, outcome: str = "done", detail: str = "") -> None:

@@ -56,15 +56,16 @@ import re
 import threading
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
+from ..core.effects import message_kind
 from .monitors import Detector, Hazard, MonitorBus, default_detectors
 
 __all__ = [
     "PExpr", "msg", "seq", "alt", "star", "plus", "opt", "parse",
     "turn_taking", "at_most_one_outstanding", "request_reply",
     "Protocol", "ProtocolMachine", "ProtocolMonitor", "protocol_bus",
-    "message_kind", "kind_from_repr",
+    "message_kind",
 ]
 
 
@@ -102,7 +103,7 @@ class _Msg(PExpr):
     __slots__ = ("kind",)
 
     def __init__(self, kind: str):
-        if not re.fullmatch(r"[A-Za-z_][\w.-]*", kind):
+        if not _NAME_RE.fullmatch(kind):
             raise ValueError(f"bad message kind {kind!r}")
         self.kind = kind.lower()
 
@@ -210,7 +211,8 @@ request_reply = at_most_one_outstanding
 # mini-language parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(->|[()|*+?]|[A-Za-z_][\w.-]*)")
+_NAME_RE = re.compile(r"[A-Za-z_][\w.-]*")
+_TOKEN_RE = re.compile(rf"\s*(->|[()|*+?]|{_NAME_RE.pattern})")
 
 
 def parse(text: str) -> PExpr:
@@ -425,93 +427,6 @@ class ProtocolMachine:
 
 
 # ===========================================================================
-# message-kind classification
-# ===========================================================================
-
-#: leading quoted token of a payload repr: "('req', 1)" / "'ping'" /
-#: "['a', ...]" — also matches through the SimActorSystem envelope
-#: shape "('req', 1)<-driver"
-_KIND_RE = re.compile(r"^[(\[]?\s*[bu]?['\"]([A-Za-z_][\w.-]*)['\"]")
-#: kernel Envelope repr: <Envelope #seq PAYLOAD from sender>
-_ENV_RE = re.compile(r"^<Envelope #\d+ (.*) from [^ >]+>$")
-
-
-#: head string / tuple or list type -> kind token.  Classification runs
-#: once per distinct message shape instead of once per message (a
-#: cluster node calls this for every observed message); the clear()
-#: bound keeps a pathological stream of unique heads from growing it
-#: without limit.
-_KIND_CACHE: dict = {}
-#: payload type -> kind token, for the types that classify by type
-#: name whatever their value (all but str, tuple, list and their
-#: subclasses)
-_TYPE_KINDS: dict = {}
-
-
-def message_kind(message: Any) -> Optional[str]:
-    """Kind token of a live message object (the cluster-side classifier).
-
-    Tagged tuples/lists classify by their string head, strings by
-    themselves, everything else by type name — the conventions every
-    actor example in this repo already follows.
-    """
-    got = _TYPE_KINDS.get(type(message))
-    if got is not None:
-        return got
-    if isinstance(message, (tuple, list)):
-        key: Any = message[0] if message and isinstance(message[0], str) \
-            else type(message)
-    elif isinstance(message, str):
-        key = message
-    else:
-        if len(_TYPE_KINDS) > 4096:
-            _TYPE_KINDS.clear()
-        got = _TYPE_KINDS[type(message)] = type(message).__name__.lower()
-        return got
-    got = _KIND_CACHE.get(key, _UNSET)
-    if got is _UNSET:
-        if len(_KIND_CACHE) > 4096:
-            _KIND_CACHE.clear()
-        got = _KIND_CACHE[key] = (
-            _norm_kind(key) if isinstance(key, str)
-            else key.__name__.lower())
-    return got
-
-
-def kind_from_repr(text: str) -> Optional[str]:
-    """Kind token recovered from a payload *repr* (the kernel-side
-    classifier — detectors only ever see reprs, never live objects)."""
-    m = _KIND_RE.match(text)
-    if m is not None:
-        return m.group(1).lower()
-    m = re.match(r"^[A-Za-z_][\w.-]*$", text)
-    if m is not None:                         # bare token, e.g. True
-        return text.lower()
-    return None
-
-
-def _norm_kind(token: str) -> Optional[str]:
-    token = token.lower()
-    return token if re.fullmatch(r"[\w.-]+", token) else None
-
-
-def _envelope_inner(payload_repr: Optional[str]) -> Optional[str]:
-    if not payload_repr:
-        return None
-    m = _ENV_RE.match(payload_repr)
-    return m.group(1) if m is not None else payload_repr
-
-
-def _send_payload(effect_repr: str, mailbox: str) -> Optional[str]:
-    """Payload repr out of a ``send <payload> to <mailbox>`` label."""
-    if not effect_repr.startswith("send "):
-        return None
-    tail = f" to {mailbox}"
-    body = effect_repr[5:]
-    return body[:-len(tail)] if body.endswith(tail) else body
-
-
-# ===========================================================================
 # the protocol and its monitor
 # ===========================================================================
 
@@ -526,19 +441,18 @@ class Protocol:
     it) or ``"send"`` (deposit order).  Message kinds outside the
     spec's alphabet are ignored unless ``strict=True``; with
     ``complete=True``, a run that ends mid-conversation additionally
-    reports an informational ``protocol-incomplete`` hazard.
-    ``classify`` overrides the payload-repr classifier
-    (:func:`kind_from_repr`) for kernel events.
+    reports an informational ``protocol-incomplete`` hazard.  Every
+    runtime classifies a message once, when it is sent, with
+    :func:`message_kind`.
     """
 
     __slots__ = ("name", "expr", "text", "parties", "at", "strict",
-                 "complete", "classify", "_compiled")
+                 "complete", "_compiled")
 
     def __init__(self, name: str, spec: Any, *,
                  parties: Iterable[str] = (),
                  at: str = "deliver", strict: bool = False,
-                 complete: bool = False,
-                 classify: Optional[Callable[[str], Optional[str]]] = None):
+                 complete: bool = False):
         if at not in ("deliver", "send"):
             raise ValueError(f"at must be 'deliver' or 'send', got {at!r}")
         self.name = name
@@ -550,7 +464,6 @@ class Protocol:
         self.at = at
         self.strict = strict
         self.complete = complete
-        self.classify = classify
         self._compiled = _compile(self.expr)
 
     @property
@@ -601,51 +514,43 @@ class ProtocolMonitor(Detector):
         #: a violation after it releases the lock.  The kernel feed runs
         #: on one scheduler thread and takes no lock.
         self.lock = threading.Lock()
-
-    # -- event classification ------------------------------------------
-    @staticmethod
-    def _observations(event: Any) -> list[tuple]:
-        """(point, where, payload-repr, wire-seq) tuples carried by one
-        kernel event, in happened order."""
-        obs: list[tuple] = []
-        recv_mbox = getattr(event, "recv_mbox", None)
-        if recv_mbox is not None:
-            raw = _envelope_inner(event.payload_repr)
-            if raw is not None:
-                obs.append(("deliver", recv_mbox, raw, event.recv_seq))
-        msg_seq = getattr(event, "msg_seq", None)
-        if msg_seq is not None and event.obj_name:
-            raw = _send_payload(event.effect_repr, event.obj_name)
-            if raw is not None:
-                obs.append(("send", event.obj_name, raw, msg_seq))
-        return obs
+        #: kernel feed: seq -> kind of each send not yet delivered
+        self._sent: dict[int, str] = {}
 
     # -- Detector protocol ---------------------------------------------
     def on_event(self, view, event, ready):
-        obs = self._observations(event)
+        """Step the machines over the sends and deliveries of one kernel
+        event, in happened order.  A send carries its ``msg_kind``; a
+        delivery is classified by its send's, matched on the seq."""
+        obs = []
+        mbox = event.recv_mbox
+        if mbox is not None:
+            kind = self._sent.pop(event.recv_seq, None)
+            if kind is not None:
+                obs.append(("deliver", mbox, kind, event.recv_seq))
+        seqv = event.msg_seq
+        if seqv is not None and event.obj_name:
+            kind = event.msg_kind
+            if kind is not None:
+                self._sent[seqv] = kind
+                obs.append(("send", event.obj_name, kind, seqv))
         if not obs:
             return
         for i, proto in enumerate(self.protocols):
             machine = self._machines[i]
-            for point, where, raw, seqv in obs:
+            for point, where, kind, seqv in obs:
                 if proto.at != point or not proto.watches(where):
                     continue
-                kind = (proto.classify or kind_from_repr)(raw)
-                if kind is None or kind not in proto.alphabet:
-                    if not proto.strict or kind is None:
+                if kind in proto.alphabet:
+                    if machine.advance(kind):
                         continue
-                    hz = self._violation(i, machine, event.step,
-                                         event.task_name, where,
-                                         raw, kind, seqv,
-                                         outside_alphabet=True)
-                    if hz is not None:
-                        yield hz
+                    oob = False
+                elif proto.strict:
+                    oob = True
+                else:
                     continue
-                if machine.advance(kind):
-                    continue
-                hz = self._violation(i, machine, event.step,
-                                     event.task_name, where,
-                                     raw, kind, seqv)
+                hz = self._violation(i, event.step, event.task_name,
+                                     where, kind, seqv, oob)
                 if hz is not None:
                     yield hz
 
@@ -658,30 +563,21 @@ class ProtocolMonitor(Detector):
         is ``None`` for watch-everything specs, ``machine`` is the live
         :class:`ProtocolMachine`, ``steps`` its spec's transition cache
         (``(state, token) -> next state``, ``None`` for a refused
-        token), so a cached step needs no call, and ``flag(where,
-        token, node, step, seqv, outside_alphabet)`` is
-        :meth:`cluster_violation` bound to the row's protocol, for the
-        rare non-conforming message.  The caller holds :attr:`lock`
-        while it steps the rows."""
+        token), so a cached step needs no call, and ``flag(step, task,
+        where, token, seqv, outside_alphabet)`` builds the hazard of
+        the row's protocol for the rare non-conforming message, with
+        the kernel feed's bookkeeping and capping.  The caller holds
+        :attr:`lock` while it steps the rows."""
         return [(p.at, frozenset(p.parties) if p.parties else None,
                  p.alphabet, p.strict, m, m._compiled.steps,
-                 partial(self.cluster_violation, i))
+                 partial(self._violation, i))
                 for i, (p, m) in enumerate(zip(self.protocols,
                                                self._machines))]
 
-    def cluster_violation(self, i: int, where: str, token: Optional[str],
-                          node: str, step: int, seqv: Optional[int],
-                          outside_alphabet: bool = False
-                          ) -> Optional[Hazard]:
-        """Build the hazard for a non-conforming cluster message (same
-        bookkeeping and capping as :meth:`on_event`)."""
-        return self._violation(i, self._machines[i], step,
-                               f"{node}/{where}", where, token, token,
-                               seqv, outside_alphabet=outside_alphabet)
-
-    def _violation(self, i, machine, step, task, where, raw, kind, seqv,
-                   outside_alphabet: bool = False) -> Optional[Hazard]:
-        proto = self.protocols[i]
+    def _violation(self, i: int, step: int, task: str, where: str,
+                   kind: str, seqv: Optional[int],
+                   outside_alphabet: bool) -> Optional[Hazard]:
+        proto, machine = self.protocols[i], self._machines[i]
         self._violations[i] += 1
         if self._violations[i] > self.max_violations:
             return None
@@ -690,8 +586,8 @@ class ProtocolMonitor(Detector):
                 else f"cannot follow {machine.state_label()}")
         return Hazard(
             kind="protocol-violation", severity="error",
-            message=f"protocol {proto.name!r} at {where}: message {raw} "
-                    f"({kind!r}) {what}; expected {{{expected}}}",
+            message=f"protocol {proto.name!r} at {where}: message "
+                    f"{kind!r} {what}; expected {{{expected}}}",
             step=step, tasks=(task,),
             objects=(proto.name, where),
             subject=f"{proto.name}@{where}", seq=seqv)

@@ -31,8 +31,9 @@ layers:
   published as first-class :class:`~repro.obs.monitors.Hazard` records
   on a :class:`~repro.obs.monitors.MonitorBus` via ``publish``.
 * :class:`FlightRecorder` — an always-on bounded ring of the node's
-  cluster events (zero allocation while idle: the ring is preallocated
-  and one tuple per event is the entire cost).  On actor failure,
+  cluster events (the node's one
+  :class:`~repro.cluster.observe.ClusterEvent` record per event, the
+  same one its trace log keeps).  On actor failure,
   peer-DOWN, or alert fire the agent dumps a **postmortem bundle**:
   its own ring plus every reachable peer's (all pulled at once, under
   one 1 s deadline, via ``ClusterNode.flight_windows``), merged into a
@@ -538,35 +539,29 @@ class SLOEngine:
 class FlightRecorder:
     """Always-on bounded window of cluster events for postmortems.
 
-    Recording is *lock-free*: one tuple appended to a bounded deque
-    (``deque.append`` with ``maxlen`` is atomic under the GIL, evicting
-    the oldest entry in O(1)), because this runs per message on the
-    cluster hot path where even an uncontended lock acquisition is
-    measurable at six figures of events per second.  The total-events
-    counter is maintained racily and may undercount by a hair under
-    heavy cross-thread fire — it feeds a telemetry gauge and the dump's
-    step base, both of which only need monotonicity, not exactness.
-    ``dump`` returns the surviving window oldest-first as
-    :class:`~repro.cluster.observe.ClusterEvent`-compatible dicts, so a
-    dump slots straight into ``merge_chrome_traces``.
+    Recording is *lock-free*: one
+    :class:`~repro.cluster.observe.ClusterEvent` appended to a bounded
+    deque (``deque.append`` with ``maxlen`` is atomic under the GIL,
+    evicting the oldest entry in O(1)), because this runs per message
+    on the cluster hot path.  The total-events counter is maintained
+    racily and may undercount by a hair under heavy cross-thread fire —
+    it feeds a telemetry gauge, which only needs monotonicity.
+    ``dump`` returns the surviving window oldest-first in the events'
+    dict form, so a dump slots straight into ``merge_chrome_traces``.
     """
 
-    __slots__ = ("node", "capacity", "_dq", "_n")
+    __slots__ = ("capacity", "_dq", "_n")
 
-    def __init__(self, capacity: int = 2048, node: str = ""):
+    def __init__(self, capacity: int = 2048):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self.node = node
         self.capacity = capacity
         self._dq: deque = deque(maxlen=capacity)
         self._n = 0
 
-    def record(self, kind: str, actor: str = "", peer: str = "",
-               msg_seq: Optional[int] = None,
-               recv_seq: Optional[int] = None, ts: float = 0.0,
-               extra: Optional[dict] = None) -> None:
+    def record(self, event: Any) -> None:
         self._n += 1
-        self._dq.append((kind, actor, peer, msg_seq, recv_seq, ts, extra))
+        self._dq.append(event)
 
     def __len__(self) -> int:
         return len(self._dq)
@@ -577,14 +572,8 @@ class FlightRecorder:
         return self._n
 
     def dump(self) -> list[dict]:
-        raw = list(self._dq.copy())      # deque.copy is a GIL-atomic C op
-        base = max(0, self._n - len(raw))
-        return [{"kind": kind, "node": self.node, "actor": actor,
-                 "peer": peer, "step": base + i, "ts": ts,
-                 "msg_seq": msg_seq, "recv_seq": recv_seq,
-                 "extra": extra or {}}
-                for i, (kind, actor, peer, msg_seq, recv_seq, ts,
-                        extra) in enumerate(raw)]
+        # deque.copy is a GIL-atomic C op
+        return [e._asdict() for e in self._dq.copy()]
 
 
 # ===========================================================================
@@ -793,7 +782,6 @@ class TelemetryAgent:
         now = self.time() if now is None else now
         node_events: dict[str, list] = {}
         if node is not None:
-            self.recorder.node = node.name
             node_events[node.name] = self.recorder.dump()
             alive = [peer for peer, state in node.peers().items()
                      if state == "alive"]

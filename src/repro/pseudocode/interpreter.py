@@ -30,7 +30,8 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, Optional
 
 from ..core.effects import (Acquire, Effect, Emit, Join, Notify, Pause,
-                            Receive, Release, Send, Spawn, Wait)
+                            Receive, Release, Send, Spawn, Wait,
+                            message_kind)
 from ..core.mailbox import DeliveryPolicy
 from ..core.policy import SchedulingPolicy
 from ..core.scheduler import Scheduler
@@ -357,7 +358,8 @@ class Runtime:
                 raise PseudoRuntimeError(
                     f"line {stmt.line}: Send payload {message!r} is not a "
                     f"MESSAGE value")
-            yield Send(receiver.mailbox, message)
+            # the paper's message-name is the message's protocol kind
+            yield Send(receiver.mailbox, message, message_kind(message.name))
             return
         if isinstance(stmt, OnReceiving):
             yield from self._exec_receive_loop(rs, stmt, env, ctx)

@@ -519,7 +519,7 @@ def test_failing_detector_counts_sink_errors_and_delivery_continues():
     class Broken(Detector):
         name = "broken"
 
-        def on_event(self, view, event, ready):
+        def on_cluster(self, event):
             raise RuntimeError("detector bug")
 
     hub = LoopbackHub()

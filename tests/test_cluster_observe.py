@@ -1,8 +1,8 @@
 """Cross-process observability: merged profiles/traces + detectors.
 
 Covers the three bridges between the cluster and the PR 2–4 tooling:
-``ClusterEvent`` riding the MonitorBus without tripping kernel-event
-interpretation, per-node profile snapshots folding into one report,
+``ClusterEvent`` reaching the cluster detectors on a MonitorBus and
+never the kernel view, per-node profile snapshots folding into one report,
 and per-node event logs folding into one Chrome trace whose
 send→receive flow arrows survive the process boundary.  Ends with an
 integration check: a real loopback saturation run fires the cluster
@@ -23,10 +23,12 @@ from repro.cluster.observe import (
     ClusterEvent,
     ClusterSaturationDetector,
     SuspectLossDetector,
+    cluster_detectors,
     merge_chrome_traces,
     merge_profiles,
 )
-from repro.obs import Metrics, format_snapshot
+from repro.obs import (KernelView, Metrics, MonitorBus, default_detectors,
+                       format_snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +38,8 @@ from repro.obs import Metrics, format_snapshot
 def test_cluster_event_dict_roundtrip():
     e = ClusterEvent("cluster-send", "a", actor="pinger", peer="b",
                      step=3, ts=12.5, msg_seq=77, extra={"seq": 1})
-    back = ClusterEvent.from_dict(e.as_dict())
+    back = ClusterEvent(**e._asdict())
+    assert back == e
     assert back.kind == "cluster-send" and back.node == "a"
     assert back.actor == "pinger" and back.peer == "b"
     assert back.step == 3 and back.ts == 12.5
@@ -44,27 +47,32 @@ def test_cluster_event_dict_roundtrip():
     assert back.extra == {"seq": 1}
 
 
-def test_cluster_event_ducktypes_kernel_trace_surface():
-    """The attributes KernelView.feed touches must exist and be inert:
-    no obj_name -> no lock interpretation, no recv_mbox -> no mailbox
-    sequence accounting."""
-    e = ClusterEvent("cluster-recv", "b", actor="sink", peer="a")
-    assert e.obj_name is None
-    assert e.recv_mbox is None
-    assert e.task_name == "b/sink"
-    assert e.task_tid == ClusterEvent("x", "b").task_tid   # stable per node
-    assert "cluster-recv" in e.effect_repr
-    # feeding a whole bus with kernel detectors must not blow up
-    from repro.obs.monitors import MonitorBus
-    bus = MonitorBus()
-    bus.feed(e)
-    assert bus.events_seen == 1
+def test_cluster_event_reaches_only_cluster_detectors():
+    """Cluster events fed to a bus that also carries every kernel
+    detector raise only cluster hazards, and the kernel view never
+    sees them."""
+    bus = MonitorBus(default_detectors() + cluster_detectors())
+    for e in (ClusterEvent("cluster-send", "a", actor="p", peer="b",
+                           step=1, msg_seq=7),
+              ClusterEvent("cluster-recv", "b", actor="sink", peer="a",
+                           step=1, recv_seq=7),
+              ClusterEvent("cluster-stage", "b", actor="sink", step=2,
+                           extra={"staged": 99}),
+              ClusterEvent("cluster-failure", "b", actor="sink", step=3,
+                           extra={"error": "boom"}),
+              ClusterEvent("cluster-down", "a", peer="b", step=4)):
+        bus.feed_cluster(e)
+    bus.finish()
+    assert bus.events_seen == 5
+    assert sorted(h.kind for h in bus.hazards) == [
+        "cluster-mailbox-saturation", "cluster-node-down"]
+    assert vars(bus.view) == vars(KernelView())
 
 
 def test_flow_ids_stable_across_hash_randomization():
-    """Flow ids and pseudo-tids pair events minted by *different*
-    processes, so they must not depend on PYTHONHASHSEED — the builtin
-    ``hash`` of a string differs per interpreter process."""
+    """Flow ids pair events minted by *different* processes, so they
+    must not depend on PYTHONHASHSEED — the builtin ``hash`` of a
+    string differs per interpreter process."""
     import os
     import pathlib
     import subprocess
@@ -73,8 +81,7 @@ def test_flow_ids_stable_across_hash_randomization():
     import repro
 
     code = ("from repro.cluster.node import _flow_id\n"
-            "from repro.cluster.observe import ClusterEvent\n"
-            "print(_flow_id('a', 'b', 7), ClusterEvent('k', 'a').task_tid)")
+            "print(_flow_id('a', 'b', 7))")
     pkg_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
     outs = set()
     for seed in ("0", "1", "2"):
@@ -128,7 +135,7 @@ def test_merge_chrome_traces_pids_and_flow_arrows():
     recv = ClusterEvent("cluster-recv", "b", actor="e", peer="a",
                         step=1, ts=100.001, recv_seq=42)
     trace = merge_chrome_traces({"a": [send],
-                                 "b": [recv.as_dict()]})   # mixed forms
+                                 "b": [recv._asdict()]})   # mixed forms
     events = trace["traceEvents"]
     # one process_name metadata record per node
     names = {e["args"]["name"] for e in events if e["ph"] == "M"}
@@ -150,7 +157,7 @@ def test_merge_chrome_traces_pids_and_flow_arrows():
 # ---------------------------------------------------------------------------
 
 def _feed(detector, event):
-    return list(detector.on_event(None, event, ()))
+    return list(detector.on_cluster(event))
 
 
 def test_saturation_detector_thresholds_and_dedup():

@@ -8,7 +8,10 @@ every time) and hashes every :class:`~repro.core.trace.TraceEvent`
 field of every run, plus its output, outcome and detail, and the state
 fingerprint after every step.  The digests
 below were recorded before the per-step bookkeeping was made constant
-time; a change to any of them means a trace changed.
+time; a change to any of them means a trace changed.  They hash the
+18 fields an event had then, listed by name; ``msg_kind``, the sent
+message's kind, added later, is pinned by a digest of its own over
+the same runs.
 """
 
 import json
@@ -48,7 +51,15 @@ ENDPARA
 PRINTLN x
 '''
 
-FIELDS = [f.name for f in dataclasses.fields(TraceEvent)]
+FIELDS = ["step", "task_tid", "task_name", "kind", "effect_repr",
+          "chosen_index", "fanout", "vclock", "access_var", "access_kind",
+          "payload_repr", "task_ltid", "footprint", "enabled", "obj_name",
+          "msg_seq", "recv_seq", "recv_mbox"]
+#: every field is either hashed above or pinned on its own below
+assert set(FIELDS) | {"msg_kind"} == {
+    f.name for f in dataclasses.fields(TraceEvent)}
+#: the msg_kind column of every run folded below
+KINDS = hashlib.sha256()
 
 
 def value(v):
@@ -67,6 +78,7 @@ def fold(h, trace):
     for e in trace.events:
         h.update("|".join(value(getattr(e, f)) for f in FIELDS).encode())
         h.update(b"\n")
+        KINDS.update(repr(e.msg_kind).encode() + b"\n")
     h.update(repr((trace.output, trace.outcome, trace.detail)).encode())
     h.update(repr(FINGERPRINTS).encode())
     h.update(b"\n")
@@ -150,6 +162,7 @@ fold(h, s.run())
 h.update(json.dumps(metrics.snapshot(), sort_keys=True).encode())
 h.update(repr([hz.key for hz in bus.hazards]).encode())
 digests["instrumented"] = h.hexdigest()
+digests["msg_kind"] = KINDS.hexdigest()
 
 print(json.dumps(digests, sort_keys=True))
 """
@@ -161,6 +174,8 @@ PINNED = {
     "instrumented":
         "fcbe7e64a74233bff7ddbd71ff27c76d05da585981c2a4baaea6c09da2f174b1",
     "sleep": "a826ef3742bcbe92032a281be125cbe2435e55b63adf3dc60d000f68e4b106bc",
+    "msg_kind":
+        "3989e7d81e35bd289bf59b7c3247c654be5e73ee5ef025c69113ee515b7fdc93",
 }
 
 

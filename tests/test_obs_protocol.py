@@ -1,7 +1,7 @@
 """Session-typed protocol conformance: specs, automata, monitors.
 
 The :mod:`repro.obs.protocol` layer in isolation — the mini-language
-and combinators, the compiled automaton, the payload classifiers, the
+and combinators, the compiled automaton, the message classifier, the
 :class:`ProtocolMonitor` riding kernel and coroutine event streams, the
 ``(kind, subject, seq)`` hazard dedup it relies on, and the
 ``repro protocol`` CLI verbs.  Cluster-runtime conformance lives in
@@ -17,9 +17,8 @@ from repro.core import Receive, Send
 from repro.core.mailbox import DeliveryPolicy, Mailbox
 from repro.coroutines import CoChannel, CoScheduler
 from repro.obs import (Hazard, MonitorBus, Protocol, ProtocolMonitor,
-                       at_most_one_outstanding, kind_from_repr,
-                       message_kind, protocol_bus, request_reply,
-                       turn_taking)
+                       at_most_one_outstanding, message_kind,
+                       protocol_bus, request_reply, turn_taking)
 from repro.obs.explain import explain_hazard
 from repro.obs.protocol import msg, opt, parse, plus, seq, star
 from repro.verify import explore
@@ -125,7 +124,7 @@ class TestMachine:
 
 
 # ---------------------------------------------------------------------------
-# payload classifiers
+# the message classifier
 # ---------------------------------------------------------------------------
 
 class TestClassifiers:
@@ -136,6 +135,11 @@ class TestClassifiers:
         (7, "int"),
         (None, "nonetype"),
         (("bad token!", 1), None),     # head is not a kind token
+        (["work", 2], "work"),
+        (True, "bool"),
+        (b"x", "bytes"),
+        ({"a": 1}, "dict"),
+        ("two words", None),           # a string that is no kind token
     ])
     def test_message_kind(self, payload, kind):
         assert message_kind(payload) == kind
@@ -150,17 +154,6 @@ class TestClassifiers:
         assert message_kind(Pair("go", 2)) == "go"
         assert message_kind(()) == "tuple"
         assert message_kind(("stop",)) == "stop"
-
-    @pytest.mark.parametrize("text,kind", [
-        ("('req', 1)", "req"),
-        ("'ping'", "ping"),
-        ('["work", 2]', "work"),
-        ("<Envelope #3 ('req', 1) from driver>", None),
-        ("True", "true"),
-        ("{'a': 1}", None),
-    ])
-    def test_kind_from_repr(self, text, kind):
-        assert kind_from_repr(text) == kind
 
 
 # ---------------------------------------------------------------------------

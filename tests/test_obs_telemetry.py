@@ -9,6 +9,7 @@ conditions) is checked against numbers computed by hand.
 
 import pytest
 
+from repro.cluster.observe import ClusterEvent
 from repro.obs.metrics import Histogram
 from repro.obs.monitors import Hazard, MonitorBus
 from repro.obs.telemetry import (
@@ -339,10 +340,11 @@ def test_monitor_bus_publish_dedups_and_flags():
 
 class TestFlightRecorder:
     def test_records_and_dumps_in_order(self):
-        fr = FlightRecorder(capacity=8, node="a")
+        fr = FlightRecorder(capacity=8)
         for i in range(3):
-            fr.record("cluster-send", actor="p", peer="b", msg_seq=i,
-                      ts=float(i))
+            fr.record(ClusterEvent("cluster-send", "a", actor="p",
+                                   peer="b", step=i, ts=float(i),
+                                   msg_seq=i))
         events = fr.dump()
         assert [e["msg_seq"] for e in events] == [0, 1, 2]
         assert [e["step"] for e in events] == [0, 1, 2]
@@ -350,23 +352,25 @@ class TestFlightRecorder:
         assert all(e["kind"] == "cluster-send" for e in events)
 
     def test_ring_wraps_keeping_newest(self):
-        fr = FlightRecorder(capacity=4, node="a")
+        fr = FlightRecorder(capacity=4)
         for i in range(10):
-            fr.record("k", msg_seq=i, ts=float(i))
+            fr.record(ClusterEvent("k", "a", step=i, ts=float(i),
+                                   msg_seq=i))
         assert len(fr) == 4
         assert fr.recorded == 10
         assert [e["msg_seq"] for e in fr.dump()] == [6, 7, 8, 9]
-        # steps stay monotone across the wrap — merge ordering relies
-        # on it
+        # the dump keeps each event's own node step across the wrap
         assert [e["step"] for e in fr.dump()] == [6, 7, 8, 9]
 
     def test_dump_is_cluster_event_compatible(self):
-        from repro.cluster.observe import ClusterEvent, merge_chrome_traces
-        a = FlightRecorder(capacity=4, node="a")
-        b = FlightRecorder(capacity=4, node="b")
-        a.record("cluster-send", actor="p", peer="b", msg_seq=7, ts=1.0)
-        b.record("cluster-recv", actor="e", peer="a", recv_seq=7, ts=1.001)
-        ev = ClusterEvent.from_dict(a.dump()[0])
+        from repro.cluster.observe import merge_chrome_traces
+        a = FlightRecorder(capacity=4)
+        b = FlightRecorder(capacity=4)
+        a.record(ClusterEvent("cluster-send", "a", actor="p", peer="b",
+                              ts=1.0, msg_seq=7))
+        b.record(ClusterEvent("cluster-recv", "b", actor="e", peer="a",
+                              ts=1.001, recv_seq=7))
+        ev = ClusterEvent(**a.dump()[0])
         assert ev.node == "a" and ev.msg_seq == 7
         merged = merge_chrome_traces({"a": a.dump(), "b": b.dump()})
         phases = [e["ph"] for e in merged["traceEvents"]]
