@@ -49,7 +49,7 @@ def test_buffer_throughput_asyncio(benchmark):
     from repro.coroutines import CoChannel, gather_generators
 
     def run():
-        chan = CoChannel(capacity=32)
+        chan = CoChannel(capacity=32, name="chan")
         out = []
 
         def producer(pid):
@@ -97,7 +97,7 @@ def test_pingpong_latency_actors_vs_coroutines(benchmark):
     from repro.coroutines import CoChannel, CoScheduler
 
     def run():
-        ping, pong = CoChannel(1), CoChannel(1)
+        ping, pong = CoChannel(1, name="ping"), CoChannel(1, name="pong")
 
         def player_a():
             for i in range(200):

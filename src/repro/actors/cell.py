@@ -27,6 +27,7 @@ fails its kernel task and the ``task-failure`` detector flags it.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import deque
 from enum import Enum
@@ -211,16 +212,17 @@ class Cell:
 
 class ActorRuntime:
     """What every actor runtime shares: spawn, stop, supervision and
-    the dead-letter log.  Subclasses set ``_ids`` (the actor-id
-    counter) and ``_cell_type``, and start a new cell in
-    :meth:`_launch`."""
+    the dead-letter log.  Subclasses set ``_cell_type`` and start a new
+    cell in :meth:`_launch`."""
 
     _cell_type: type = Cell
-    _ids: Any
 
     def __init__(self, name: str,
                  directive: Optional[SupervisionDirective]):
         self.name = name
+        #: actor ids, counted per system so that actor names and ref
+        #: reprs are the same on every replay of a schedule
+        self._ids = itertools.count(1)
         #: system-wide supervision default; None = failures escalate
         self.directive = directive
         self._cells: dict[Any, Cell] = {}

@@ -34,7 +34,6 @@ Driver code runs as a kernel task and uses the ``*_gen`` helpers::
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Iterator, Optional
 
 from ..core.effects import Effect, Receive, Send, Spawn, message_kind
@@ -113,7 +112,6 @@ class SimActorSystem(ActorRuntime):
     buffered — driver code uses the ``*_gen`` helpers.
     """
 
-    _ids = itertools.count(1)
     _cell_type = _SimCell
 
     def __init__(self, sched: Scheduler,
@@ -227,14 +225,13 @@ class SimActorSystem(ActorRuntime):
 
 
 class _ReplyRef(ActorRef):
-    """Sender ref whose cell is a bare reply mailbox (for ask_gen)."""
-
-    _reply_ids = itertools.count(10**9)
+    """Sender ref whose cell is a bare reply mailbox (for ask_gen).  Its
+    id comes from the system's actor-id counter."""
 
     def __init__(self, system: SimActorSystem, mailbox: Mailbox, name: str):
         self.mailbox = mailbox
         self._system = system
-        super().__init__(next(self._reply_ids), name, self)  # self as cell
+        super().__init__(next(system._ids), name, self)  # self as cell
 
     # ActorCell protocol
     @property

@@ -276,7 +276,9 @@ class ActorSystem(ActorRuntime):
             system.drain()          # wait until all mailboxes are empty
     """
 
-    _ids = itertools.count(1)
+    #: one id counter for every threaded system: refs compare by id
+    #: across systems in one process
+    _process_ids = itertools.count(1)
     _cell_type = _Cell
 
     def __init__(self, workers: int = 4, throughput: int = 16,
@@ -285,6 +287,7 @@ class ActorSystem(ActorRuntime):
                  profiler: Optional[Any] = None,
                  tracer: Optional[Any] = None):
         super().__init__(name, directive)
+        self._ids = self._process_ids
         self.throughput = throughput
         #: optional :class:`repro.obs.Metrics` — mailbox latency/depth,
         #: batch size and message throughput (the executor's own counters

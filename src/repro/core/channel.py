@@ -35,13 +35,10 @@ class SimChannel:
         item = yield from chan.get_gen()
     """
 
-    _counter = 0
-
-    def __init__(self, capacity: int = 1, name: str = ""):
+    def __init__(self, capacity: int = 1, *, name: str):
         if capacity < 1:
             raise ValueError("capacity must be >= 1 (use SimRendezvous for 0)")
-        SimChannel._counter += 1
-        self.name = name or f"chan-{SimChannel._counter}"
+        self.name = name
         self.capacity = capacity
         self.monitor = SimMonitor(f"{self.name}.mon")
         self.buffer: deque[Any] = deque()
@@ -101,12 +98,10 @@ class SimRendezvous:
     shared monitor).
     """
 
-    _counter = 0
     _EMPTY = object()
 
-    def __init__(self, name: str = ""):
-        SimRendezvous._counter += 1
-        self.name = name or f"rdv-{SimRendezvous._counter}"
+    def __init__(self, name: str):
+        self.name = name
         self.monitor = SimMonitor(f"{self.name}.mon")
         self._slot: Any = self._EMPTY
         self._taken = False

@@ -31,7 +31,6 @@ orders a policy admits.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -58,7 +57,7 @@ class Envelope:
     message: Any
     sender_tid: int
     sender_name: str
-    seq: int                      # global deposit order at this mailbox
+    seq: int                      # deposit order within the run
     vclock: VectorClock = field(default_factory=VectorClock, compare=False)
 
     def __repr__(self) -> str:
@@ -68,13 +67,9 @@ class Envelope:
 class Mailbox:
     """An unbounded multi-producer mailbox owned by (usually) one receiver."""
 
-    _counter = 0
-    _seq = itertools.count(1)
-
-    def __init__(self, name: str = "",
+    def __init__(self, name: str,
                  policy: DeliveryPolicy = DeliveryPolicy.ARBITRARY):
-        Mailbox._counter += 1
-        self.name = name or f"mailbox-{Mailbox._counter}"
+        self.name = name
         self.policy = policy
         self.pending: list[Envelope] = []
         self.closed = False
@@ -85,14 +80,14 @@ class Mailbox:
         self._last_delivered_per_sender: dict[int, int] = {}
 
     # -- scheduler protocol ---------------------------------------------------
-    def _deposit(self, message: Any, sender: "Task") -> Envelope:
+    def _deposit(self, message: Any, sender: "Task", seq: int) -> Envelope:
         if self.closed:
             raise MailboxError(f"send to closed mailbox {self.name}")
         env = Envelope(
             message=message,
             sender_tid=sender.tid,
             sender_name=sender.name,
-            seq=next(Mailbox._seq),
+            seq=seq,
             vclock=sender.vclock if sender.vclock is not None else VectorClock(),
         )
         self.pending.append(env)
@@ -146,15 +141,15 @@ class Mailbox:
     def __len__(self) -> int:
         return len(self.pending)
 
-    def state_key(self, ltid_of_tid) -> tuple:
+    def state_key(self) -> tuple:
         """Hashable kernel-visible state for scheduler fingerprints.
 
-        Uses ``(sender-ltid, repr(message))`` pairs rather than envelope
-        identity: envelope ``seq`` numbers come from a process-global
-        counter and would never compare equal across replayed runs.
+        Uses ``(sender tid, repr(message))`` pairs rather than envelope
+        seqs: a seq records deposit order, so two schedules that reach
+        the same pending set by different orders number it differently.
         """
         return ("mbox",
-                tuple((ltid_of_tid(env.sender_tid), repr(env.message))
+                tuple((env.sender_tid, repr(env.message))
                       for env in self.pending),
                 self.delivered_count, self.closed)
 

@@ -22,7 +22,7 @@ one without the other.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .effects import Acquire, Effect, Notify, Release, Wait
 from .primitives import SimLock
@@ -36,8 +36,8 @@ __all__ = ["SimMonitor", "synchronized", "wait_while"]
 class SimMonitor(SimLock):
     """Reentrant lock + condition queue (Java intrinsic monitor)."""
 
-    def __init__(self, name: str = ""):
-        super().__init__(name or f"monitor-{SimLock._counter + 1}", reentrant=True)
+    def __init__(self, name: str):
+        super().__init__(name, reentrant=True)
         #: tasks parked by WAIT, with the lock depth to restore on re-entry
         self._waiters: list[tuple["Task", int]] = []
         #: lifetime WAIT parks / NOTIFY signals (observability)
@@ -60,9 +60,9 @@ class SimMonitor(SimLock):
         return woken
 
     # -- inspection -----------------------------------------------------------
-    def state_key(self, ltid_of_tid) -> tuple:
-        return super().state_key(ltid_of_tid) + (
-            tuple((ltid_of_tid(t.tid), depth) for t, depth in self._waiters),)
+    def state_key(self) -> tuple:
+        return super().state_key() + (
+            tuple((t.tid, depth) for t, depth in self._waiters),)
 
     @property
     def waiter_count(self) -> int:

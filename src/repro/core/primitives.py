@@ -39,11 +39,8 @@ class SimLock:
     or, equivalently, ``yield from locked(lock, body_gen)``.
     """
 
-    _counter = 0
-
-    def __init__(self, name: str = "", reentrant: bool = True):
-        SimLock._counter += 1
-        self.name = name or f"lock-{SimLock._counter}"
+    def __init__(self, name: str, reentrant: bool = True):
+        self.name = name
         self.reentrant = reentrant
         self._owner: Optional["Task"] = None
         self._count = 0
@@ -100,13 +97,9 @@ class SimLock:
     def owner_name(self) -> Optional[str]:
         return self._owner.name if self._owner else None
 
-    def state_key(self, ltid_of_tid) -> tuple:
-        """Hashable kernel-visible state for scheduler fingerprints.
-
-        ``ltid_of_tid`` maps a global task tid to its spawn-order index
-        so keys compare equal across replayed runs of the same program.
-        """
-        owner = ltid_of_tid(self._owner.tid) if self._owner is not None else -1
+    def state_key(self) -> tuple:
+        """Hashable kernel-visible state for scheduler fingerprints."""
+        owner = self._owner.tid if self._owner is not None else -1
         return ("lock", owner, self._count)
 
     def __repr__(self) -> str:
@@ -135,13 +128,10 @@ class SimSemaphore:
     and not owned — any task may release.
     """
 
-    _counter = 0
-
-    def __init__(self, permits: int, name: str = ""):
+    def __init__(self, permits: int, name: str):
         if permits < 0:
             raise ValueError("permits must be >= 0")
-        SimSemaphore._counter += 1
-        self.name = name or f"sem-{SimSemaphore._counter}"
+        self.name = name
         self.permits = permits
         self._vclock = VectorClock()
         self.acquire_count = 0
@@ -161,7 +151,7 @@ class SimSemaphore:
         self.permits += 1
         return True
 
-    def state_key(self, ltid_of_tid) -> tuple:
+    def state_key(self) -> tuple:
         return ("sem", self.permits)
 
     @property
@@ -180,13 +170,10 @@ class SimBarrier:
     keeps the kernel's primitive set minimal.
     """
 
-    _counter = 0
-
-    def __init__(self, parties: int, name: str = ""):
+    def __init__(self, parties: int, name: str):
         if parties < 1:
             raise ValueError("parties must be >= 1")
-        SimBarrier._counter += 1
-        self.name = name or f"barrier-{SimBarrier._counter}"
+        self.name = name
         self.parties = parties
         self._mutex = SimLock(f"{self.name}.mutex")
         self._turnstile = SimSemaphore(0, f"{self.name}.turnstile")

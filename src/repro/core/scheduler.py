@@ -153,14 +153,14 @@ class Scheduler:
         self.trace = Trace()
         self._step_no = 0
         self._ran = False
-        #: task tid -> spawn-order index (replay-stable identity)
-        self._ltids: dict[int, int] = {}
+        #: seq of the last envelope deposited (seqs number the run's sends)
+        self._msg_seq = 0
         #: id(lock/mailbox/monitor) -> (first-use index, object)
         self._objects: dict[int, tuple[int, Any]] = {}
         #: any Access effect executed — user shared state exists
         self._access_seen = False
-        #: spawn-order id of the previously executed task (ctx switches)
-        self._last_ran_ltid: Optional[int] = None
+        #: tid of the previously executed task (ctx switches)
+        self._last_ran_tid: Optional[int] = None
         #: sync-object name / envelope seqs / sent message kind of the
         #: step being executed, published into its TraceEvent
         self._evt_obj_name: Optional[str] = None
@@ -188,10 +188,9 @@ class Scheduler:
             gen = fn(*args, **kwargs)
         else:
             raise TypeError(f"cannot spawn {fn!r}")
-        task = Task(gen, name=name or getattr(fn, "__name__", ""))
+        task = Task(gen, len(self.tasks),
+                    name=name or getattr(fn, "__name__", ""))
         task.daemon = daemon
-        # spawn-order index: replay-stable, unlike the process-global tid
-        task.ltid = self._ltids[task.tid] = len(self._ltids)
         if self.track_clocks:
             # a fresh clock: only the Spawn effect merges in the parent's
             task.vclock = VectorClock().tick(task.tid)
@@ -271,7 +270,7 @@ class Scheduler:
         enabled_summary: Optional[tuple] = None
         if rec:
             enabled_summary = tuple(
-                (tr.task.ltid, tr.kind,
+                (tr.task.tid, tr.kind,
                  tr.payload_index if tr.kind == "deliver"
                  else (repr(tr.payload) if tr.kind == "choice" else 0))
                 for tr in transitions)
@@ -349,10 +348,10 @@ class Scheduler:
 
         if m is not None:
             m.inc("steps")
-            ltid = task.ltid
-            if self._last_ran_ltid is not None and self._last_ran_ltid != ltid:
+            tid = task.tid
+            if self._last_ran_tid is not None and self._last_ran_tid != tid:
                 m.inc("context_switches")
-            self._last_ran_ltid = ltid
+            self._last_ran_tid = tid
             m.observe("enabled_fanout", fanout)
             m.task_add(task.name, "steps", 1)
 
@@ -424,7 +423,7 @@ class Scheduler:
             # unless logged: two tasks at the same step with different
             # inputs are NOT in the same local state
             task._inputs += (
-                ("task", self._ltid_of(value.tid)) if isinstance(value, Task)
+                ("task", value.tid) if isinstance(value, Task)
                 else repr(value),)
 
         self._step_no += 1
@@ -482,7 +481,7 @@ class Scheduler:
             self._step_no, task.tid, task.name, kind, effect_repr,
             chosen, fanout,
             task.vclock if self.track_clocks else None,
-            access_var, access_kind, payload_repr, task.ltid,
+            access_var, access_kind, payload_repr,
             frozenset([self._stable_token(t) for t in step_fp])
             if step_fp is not None else None,
             enabled, self._evt_obj_name, self._evt_msg_seq,
@@ -585,7 +584,8 @@ class Scheduler:
     def _on_send(self, task: Task, effect: Send, m) -> str:
         mailbox = effect.mailbox
         self._register(mailbox)
-        env = mailbox._deposit(effect.message, task)
+        self._msg_seq += 1
+        env = mailbox._deposit(effect.message, task, self._msg_seq)
         self._evt_obj_name = mailbox.name
         self._evt_msg_seq = env.seq
         self._evt_msg_kind = effect.kind
@@ -719,7 +719,7 @@ class Scheduler:
         self._sleepers = 0
 
     # ------------------------------------------------------------------
-    # reduction support: spawn-order identity + state fingerprints
+    # reduction support: replay-stable references + state fingerprints
     # ------------------------------------------------------------------
     def _register(self, obj: Any) -> None:
         """Track a sync object in dense first-use order.
@@ -732,25 +732,20 @@ class Scheduler:
         if key not in self._objects:
             self._objects[key] = (len(self._objects), obj)
 
-    def _ltid_of(self, tid: int) -> int:
-        return self._ltids.get(tid, -1)
-
     def _stable_token(self, token: tuple) -> tuple:
         """Rewrite a footprint token's key to a replay-stable form.
 
-        Raw tokens key objects by ``id()`` and tasks by global tid —
-        both differ between replayed runs.  The explorer compares
-        footprints *across* runs (subtree summaries), so recorded
-        footprints use the dense first-use object index / the
-        spawn-order ltid instead.
+        Raw lock and mailbox tokens key objects by ``id()``, which
+        differs between replayed runs.  The explorer compares footprints
+        *across* runs (subtree summaries), so recorded footprints use
+        the dense first-use object index instead.  Task tokens carry the
+        tid, which is already the spawn-order index.
         """
         dom, key, mode = token
         if dom in ("lock", "mbox"):
             ent = self._objects.get(key)
             if ent is not None:
                 return (dom, ent[0], mode)
-        elif dom == "task":
-            return (dom, self._ltid_of(key), mode)
         return token
 
     def _state_ref(self, obj: Any) -> Any:
@@ -758,7 +753,7 @@ class Scheduler:
         if obj is None:
             return None
         if isinstance(obj, Task):
-            return ("task", self._ltid_of(obj.tid))
+            return ("task", obj.tid)
         ent = self._objects.get(id(obj))
         if ent is not None:
             return ("obj", ent[0])
@@ -770,7 +765,7 @@ class Scheduler:
         Two runs of the same program whose schedulers report equal
         fingerprints have *reconverged*: every task sits at the same
         local position in the same task state, every lock / monitor /
-        mailbox holds the same (spawn-order-normalised) contents, and
+        mailbox holds the same contents (keyed by tid), and
         the emitted output so far is identical.  The explorer's
         ``fingerprint`` reduction prunes a run when it reaches a state
         it has already expanded at the same depth.
@@ -782,10 +777,9 @@ class Scheduler:
         flow has diverged on user state never look reconverged unless
         they have taken identical step counts.
         """
-        ltid = self._ltid_of
         ref = self._state_ref
         tasks_part = tuple([
-            (t.ltid, t.state._name_, t.steps,
+            (t.tid, t.state._name_, t.steps,
              ref(t.blocked_on),
              ref(t.pending_value)
              if isinstance(t.pending_value, Task) else repr(t.pending_value),
@@ -801,7 +795,7 @@ class Scheduler:
         # ``_objects`` is filled in first-use order, so its values are
         # already sorted by first-use index
         objects_part = tuple([
-            obj.state_key(ltid) if hasattr(obj, "state_key") else repr(obj)
+            obj.state_key() if hasattr(obj, "state_key") else repr(obj)
             for _, obj in self._objects.values()])
         output_part = tuple([repr(v) for v in self.trace.output])
         extra = (repr(self.fingerprint_extra())

@@ -42,16 +42,16 @@ class Task:
     :class:`~repro.core.effects.Spawn` effect.
     """
 
-    _counter = 0
-
-    def __init__(self, gen: Generator[Effect, Any, Any], name: str = ""):
+    def __init__(self, gen: Generator[Effect, Any, Any], tid: int,
+                 name: str = ""):
         if not hasattr(gen, "send"):
             raise TypeError(
                 f"task body must be a generator (did you forget to call the "
                 f"generator function, or is it a plain function?): {gen!r}"
             )
-        Task._counter += 1
-        self.tid: int = Task._counter
+        #: spawn-order index in the owning scheduler: the same task has
+        #: the same tid on every replay of a schedule
+        self.tid: int = tid
         self.name: str = name or f"task-{self.tid}"
         self.gen = gen
         self.state: TaskState = TaskState.READY
@@ -79,9 +79,6 @@ class Task:
         self.steps: int = 0
         #: daemon tasks do not prevent quiescent termination
         self.daemon: bool = False
-        #: spawn-order index in the owning scheduler (replay-stable,
-        #: unlike ``tid``); -1 until spawned
-        self.ltid: int = -1
         #: False when the program's ``fingerprint_extra`` captures this
         #: task's locals, so its input history is left out of fingerprints
         self.fingerprint_inputs: bool = True

@@ -38,6 +38,7 @@ class TraceEvent:
     """
 
     step: int
+    #: spawn-order index of the task in its run (see ``Task.tid``)
     task_tid: int
     task_name: str
     kind: str                      # transition kind: run/acquire/deliver/choice
@@ -48,15 +49,12 @@ class TraceEvent:
     access_var: Optional[str] = None
     access_kind: Optional[AccessKind] = None
     payload_repr: Optional[str] = None
-    #: spawn-order index of the task — stable across replays of the same
-    #: prefix, unlike the process-global ``task_tid`` (reduction bookkeeping)
-    task_ltid: int = -1
     #: executed step's access footprint (see Effect.footprint); only on
     #: steps at or past the scheduler's ``record_from`` index — ``None``
     #: on every other step, including the replayed prefix of an
     #: explorer run
     footprint: Optional[frozenset] = None
-    #: per-transition ``(ltid, kind, key)`` summary of the enabled set
+    #: per-transition ``(tid, kind, key)`` summary of the enabled set
     #: this step chose from; ``None`` below ``record_from``, like
     #: ``footprint``
     enabled: Optional[tuple] = None
@@ -82,7 +80,6 @@ class TraceEvent:
                  access_var: Optional[str] = None,
                  access_kind: Optional[AccessKind] = None,
                  payload_repr: Optional[str] = None,
-                 task_ltid: int = -1,
                  footprint: Optional[frozenset] = None,
                  enabled: Optional[tuple] = None,
                  obj_name: Optional[str] = None,
@@ -96,7 +93,7 @@ class TraceEvent:
             "chosen_index": chosen_index, "fanout": fanout,
             "vclock": vclock, "access_var": access_var,
             "access_kind": access_kind, "payload_repr": payload_repr,
-            "task_ltid": task_ltid, "footprint": footprint,
+            "footprint": footprint,
             "enabled": enabled, "obj_name": obj_name, "msg_seq": msg_seq,
             "recv_seq": recv_seq, "recv_mbox": recv_mbox,
             "msg_kind": msg_kind})

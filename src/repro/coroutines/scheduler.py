@@ -18,7 +18,7 @@ The markers are internal; user code calls the generator helpers::
             out.append((yield from chan.get()))
 
     sched = CoScheduler()
-    chan = CoChannel(capacity=1)
+    chan = CoChannel(capacity=1, name="items")
     out = []
     sched.spawn(producer, chan)
     sched.spawn(consumer, chan, out)
@@ -28,13 +28,9 @@ The markers are internal; user code calls the generator helpers::
 from __future__ import annotations
 
 import inspect
-import itertools
 from contextlib import suppress
 from collections import deque
 from typing import Any, Callable, Generator, Iterator, Optional
-
-#: process-wide default-name counter for unnamed tapped channels
-_chan_ids = itertools.count(1)
 
 __all__ = ["CoDeadlock", "CoTask", "CoScheduler", "pause", "CoChannel",
            "CoEvent", "CoSemaphore", "ChannelClosed"]
@@ -89,13 +85,10 @@ class _Join:
 class CoTask:
     """Handle on a spawned cooperative task."""
 
-    _counter = 0
-
-    def __init__(self, gen: Generator, name: str = ""):
-        CoTask._counter += 1
-        self.name = name or f"cotask-{CoTask._counter}"
-        #: spawn-order index within one scheduler (monitor-bus identity)
-        self.ltid = -1
+    def __init__(self, gen: Generator, tid: int, name: str = ""):
+        #: spawn-order index within its scheduler (monitor-bus identity)
+        self.tid = tid
+        self.name = name or f"cotask-{tid}"
         self.gen = gen
         self.done = False
         self.result: Any = None
@@ -201,12 +194,12 @@ class _Observer:
               **fields: Any) -> None:
         if self.bus is not None:   # ``ready`` defaults to resume's snapshot
             from ..core.trace import TraceEvent
-            name, ltid = ((task.name, task.ltid) if task is not None
-                          else ("?", -1))
+            name, tid = ((task.name, task.tid) if task is not None
+                         else ("?", -1))
             self.bus.feed(TraceEvent(
-                step=self.sched.steps, task_tid=ltid, task_name=name,
+                step=self.sched.steps, task_tid=tid, task_name=name,
                 kind=kind, effect_repr=desc, chosen_index=0, fanout=1,
-                task_ltid=ltid, **fields), ready or self.ready_names)
+                **fields), ready or self.ready_names)
 
 
 class CoScheduler:
@@ -252,8 +245,8 @@ class CoScheduler:
     def spawn(self, fn: Callable[..., Generator] | Generator, *args: Any,
               name: str = "", **kwargs: Any) -> CoTask:
         gen = fn(*args, **kwargs) if inspect.isgeneratorfunction(fn) else fn
-        task = CoTask(gen, name=name or getattr(fn, "__name__", ""))
-        task.ltid = len(self.tasks)
+        task = CoTask(gen, len(self.tasks),
+                      name=name or getattr(fn, "__name__", ""))
         self.tasks.append(task)
         self.ready.append(task)
         if self.profiler is not None:
@@ -355,22 +348,22 @@ class CoScheduler:
 class CoChannel:
     """Bounded FIFO channel between cooperative tasks (capacity ≥ 1).
 
-    Pass ``sched=`` (and optionally ``name=``) to tap the channel into
-    the scheduler's :class:`~repro.obs.MonitorBus`: each ``put`` feeds a
-    send-shaped :class:`~repro.core.trace.TraceEvent` and each ``get``
-    a deliver-shaped one, so message-stream detectors — including
-    :class:`~repro.obs.ProtocolMonitor` conformance checking — watch
-    coroutine channels exactly like kernel mailboxes.  An untapped
-    channel (the default) does zero extra work.
+    Pass ``sched=`` to tap the channel into the scheduler's
+    :class:`~repro.obs.MonitorBus`: each ``put`` feeds a send-shaped
+    :class:`~repro.core.trace.TraceEvent` and each ``get`` a
+    deliver-shaped one, both carrying ``name``, so message-stream
+    detectors — including :class:`~repro.obs.ProtocolMonitor`
+    conformance checking — watch coroutine channels exactly like kernel
+    mailboxes.  An untapped channel (the default) does zero extra work.
     """
 
-    def __init__(self, capacity: int = 1, *, sched: Optional[Any] = None,
-                 name: str = ""):
+    def __init__(self, capacity: int = 1, *, name: str,
+                 sched: Optional[Any] = None):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.sched = sched
-        self.name = name or f"chan-{next(_chan_ids)}"
+        self.name = name
         self._items: deque = deque()
         #: per-item send seq of a tapped channel
         self._meta: deque = deque()

@@ -35,11 +35,6 @@ def _vclock_dict(vclock: Any) -> Optional[dict[str, int]]:
     return {str(pid): t for pid, t in vclock.components()}
 
 
-def _lane(event: Any) -> int:
-    """Stable per-task lane id: spawn-order index when recorded."""
-    return event.task_ltid if event.task_ltid >= 0 else event.task_tid
-
-
 def chrome_trace(trace: Any, *, pid: int = 1,
                  scale: int = DEFAULT_SCALE) -> dict[str, Any]:
     """Render ``trace`` as a Chrome Trace Event Format object.
@@ -55,7 +50,7 @@ def chrome_trace(trace: Any, *, pid: int = 1,
     # lanes: first-seen order of tasks, named metadata + sort order
     lanes: dict[int, str] = {}
     for e in trace.events:
-        tid = _lane(e)
+        tid = e.task_tid
         if tid not in lanes:
             lanes[tid] = e.task_name
     for sort_index, (tid, name) in enumerate(lanes.items()):
@@ -67,7 +62,7 @@ def chrome_trace(trace: Any, *, pid: int = 1,
 
     depths: dict[str, int] = {}
     for e in trace.events:
-        tid = _lane(e)
+        tid = e.task_tid
         ts = (e.step - 1) * scale
         args: dict[str, Any] = {"kind": e.kind,
                                 "chosen": f"{e.chosen_index + 1}/{e.fanout}"}
@@ -144,7 +139,7 @@ def jsonl_events(trace: Any) -> str:
             "type": "step",
             "step": e.step,
             "task": e.task_name,
-            "ltid": e.task_ltid,
+            "tid": e.task_tid,
             "kind": e.kind,
             "effect": e.effect_repr,
             "chosen": e.chosen_index,

@@ -51,7 +51,7 @@ Each hazard names the misconceptions the execution *refutes* via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.trace import Trace, TraceEvent
@@ -88,8 +88,9 @@ class Hazard:
     #: reported from both ends of a cluster link word their messages
     #: differently but share the subject, so dedup keys on it
     subject: str = ""
-    #: wire/mailbox sequence of the offending message, when there is one
-    seq: Optional[int] = None
+    #: identity of the offending message, when there is one: its wire
+    #: seq on a cluster link, ``(sender tid, n)`` on the kernel feed
+    seq: Any = None
 
     @property
     def key(self) -> tuple:
@@ -132,6 +133,9 @@ class KernelView:
     can only reappear through an ``acquire``-kind grant transition,
     while a task granted immediately reappears with any other kind — so
     resolution is deferred until that next event (or run end).
+
+    A task's key is its tid, the spawn-order index that is the same on
+    every replay of a schedule.
     """
 
     def __init__(self) -> None:
@@ -162,11 +166,6 @@ class KernelView:
         self.evt_wait: Optional[tuple] = None    # (key, monitor)
         self.evt_notify: Optional[tuple] = None  # (monitor, woken_count)
 
-    @staticmethod
-    def task_key(event: "TraceEvent") -> int:
-        # spawn-order ltid when recorded (replay-stable), else global tid
-        return event.task_ltid if event.task_ltid >= 0 else event.task_tid
-
     def name_of(self, key: int) -> str:
         return self.names.get(key, f"task-{key}")
 
@@ -175,7 +174,7 @@ class KernelView:
 
     # ------------------------------------------------------------------
     def feed(self, event: "TraceEvent") -> None:
-        key = self.task_key(event)
+        key = event.task_tid
         self.last_step = event.step
         if event.task_name:
             self.names[key] = event.task_name
@@ -645,7 +644,7 @@ class RaceDetector(Detector):
         if event.access_var is None or event.vclock is None:
             return
         var = event.access_var
-        key = view.task_key(event)
+        key = event.task_tid
         locks = view.locks_held(key)
         kind = event.access_kind.value
         history = self.accesses.setdefault(var, [])
@@ -713,7 +712,7 @@ class WitnessDetector(Detector):
 
     def on_event(self, view, event, ready):
         if event.msg_seq is not None:
-            key = view.task_key(event)
+            key = event.task_tid
             self.sent[event.msg_seq] = (key, view.counts.get(key, 0))
         if event.recv_seq is not None and not self._async_seen:
             origin = self.sent.get(event.recv_seq)
@@ -767,5 +766,5 @@ def trace_locksets(trace: "Trace") -> dict[int, frozenset]:
     out: dict[int, frozenset] = {}
     for i, event in enumerate(trace.events):
         view.feed(event)
-        out[i] = view.locks_held(view.task_key(event))
+        out[i] = view.locks_held(event.task_tid)
     return out

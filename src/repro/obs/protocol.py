@@ -495,8 +495,11 @@ class ProtocolMonitor(Detector):
     Scheduler — threads-style programs and SimActorSystem actors —
     plus CoChannel taps); cluster nodes step it through
     :meth:`cluster_entries`.  Violations are ``error`` hazards keyed
-    on ``(kind, subject, wire seq)`` so the same non-conforming message
-    observed from both ends of a cluster link counts once.
+    on ``(kind, subject, seq)``.  On a cluster link ``seq`` is the wire
+    seq, so the same non-conforming message observed from both ends
+    counts once.  On the kernel feed it is the send's ``(sender tid,
+    n)``, its sender's n-th send: the same message on every schedule,
+    so an exploration lists the violation once.
     """
 
     name = "protocol"
@@ -514,26 +517,30 @@ class ProtocolMonitor(Detector):
         #: a violation after it releases the lock.  The kernel feed runs
         #: on one scheduler thread and takes no lock.
         self.lock = threading.Lock()
-        #: kernel feed: seq -> kind of each send not yet delivered
-        self._sent: dict[int, str] = {}
+        #: kernel feed: envelope seq -> (kind, (sender tid, n)) of each
+        #: send not yet delivered
+        self._sent: dict[int, tuple] = {}
+        #: kernel feed: sends so far per sender tid
+        self._sends: dict[int, int] = {}
 
     # -- Detector protocol ---------------------------------------------
     def on_event(self, view, event, ready):
         """Step the machines over the sends and deliveries of one kernel
         event, in happened order.  A send carries its ``msg_kind``; a
-        delivery is classified by its send's, matched on the seq."""
+        delivery is classified by its send's, matched on the seq, and
+        both report the send's identity."""
         obs = []
         mbox = event.recv_mbox
         if mbox is not None:
-            kind = self._sent.pop(event.recv_seq, None)
-            if kind is not None:
-                obs.append(("deliver", mbox, kind, event.recv_seq))
-        seqv = event.msg_seq
-        if seqv is not None and event.obj_name:
-            kind = event.msg_kind
-            if kind is not None:
-                self._sent[seqv] = kind
-                obs.append(("send", event.obj_name, kind, seqv))
+            sent = self._sent.pop(event.recv_seq, None)
+            if sent is not None:
+                obs.append(("deliver", mbox) + sent)
+        if event.msg_seq is not None and event.obj_name:
+            tid = event.task_tid
+            n = self._sends[tid] = self._sends.get(tid, 0) + 1
+            if event.msg_kind is not None:
+                sent = self._sent[event.msg_seq] = (event.msg_kind, (tid, n))
+                obs.append(("send", event.obj_name) + sent)
         if not obs:
             return
         for i, proto in enumerate(self.protocols):
@@ -575,7 +582,7 @@ class ProtocolMonitor(Detector):
                                                self._machines))]
 
     def _violation(self, i: int, step: int, task: str, where: str,
-                   kind: str, seqv: Optional[int],
+                   kind: str, seqv: Any,
                    outside_alphabet: bool) -> Optional[Hazard]:
         proto, machine = self.protocols[i], self._machines[i]
         self._violations[i] += 1

@@ -294,7 +294,7 @@ def run_coroutine_buffer(capacity: int = 4, producers: int = 2,
     """Cooperative bounded buffer over CoChannel."""
     from ..coroutines import CoChannel, CoScheduler
 
-    chan = CoChannel(capacity=capacity)
+    chan = CoChannel(capacity=capacity, name="buffer")
     consumed: list[tuple] = []
 
     def producer(pid: int):

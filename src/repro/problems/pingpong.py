@@ -125,8 +125,8 @@ def run_coroutine_pingpong(rounds: int = 100, profiler=None) -> int:
     """Two cooperative tasks trading items over a pair of CoChannels."""
     from ..coroutines import CoChannel, CoScheduler
 
-    ping_chan = CoChannel(capacity=1)
-    pong_chan = CoChannel(capacity=1)
+    ping_chan = CoChannel(capacity=1, name="ping")
+    pong_chan = CoChannel(capacity=1, name="pong")
     replies = [0]
 
     def pinger():

@@ -110,6 +110,8 @@ class _RunState:
         self.runtime = runtime
         self.sched = sched
         self.globals: dict[str, Any] = {}
+        #: objects created by ``new`` so far (numbers the next one)
+        self.instances = 0
         self.monitors: dict[str, SimMonitor] = {
             key: SimMonitor(f"exc[{key}]")
             for key in runtime.info.groups}
@@ -442,7 +444,8 @@ class Runtime:
             if cls is None:
                 raise PseudoRuntimeError(
                     f"line {expr.line}: unknown class {expr.class_name!r}")
-            instance = Instance(cls, policy=self.mailbox_policy)
+            rs.instances += 1
+            instance = Instance(cls, rs.instances, policy=self.mailbox_policy)
             if expr.args:
                 init = cls.methods.get("init")
                 if init is None:

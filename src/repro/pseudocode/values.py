@@ -41,14 +41,13 @@ class Instance:
 
     Owns a mailbox (so it can receive messages) and a field dictionary.
     Identity semantics — two instances are equal only if identical.
+    ``serial`` numbers the instances of one run in creation order; it
+    names the instance and its mailbox.
     """
 
-    _counter = 0
-
-    def __init__(self, class_def: "ClassDef",
+    def __init__(self, class_def: "ClassDef", serial: int,
                  policy: DeliveryPolicy = DeliveryPolicy.ARBITRARY):
-        Instance._counter += 1
-        self.serial = Instance._counter
+        self.serial = serial
         self.class_def = class_def
         self.fields: dict[str, Any] = {}
         self.mailbox = Mailbox(f"{class_def.name}#{self.serial}", policy=policy)

@@ -13,9 +13,11 @@ Lifecycle, supervision and dead-lettering are the shared cell core's
 (:mod:`repro.actors.cell`), so they are the threaded system's by
 construction; ``pre_start`` runs at spawn, on the spawner's stack.
 
-Actor ids come from a per-instance counter, not the threaded system's
-process-global one, so actor names and ref reprs are identical on
-every replay of a schedule — a requirement for stable fingerprints.
+Actor ids come from the shared core's per-system counter, not the
+threaded system's process-wide one, so actor names and ref reprs are
+identical on every replay of a schedule — a requirement for stable
+fingerprints.  The kernel's :class:`~repro.actors.sim.SimActorSystem`
+does the same, and its tasks and envelopes are numbered by the run.
 Cells are kept by name in spawn order, stopped ones included (a
 respawn under the same name takes the old cell's place), because the
 world's replay digest reads them.
@@ -23,7 +25,6 @@ world's replay digest reads them.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Optional
 
 from ..actors.cell import ActorRuntime, Cell, StopSignal, SupervisionDirective
@@ -42,7 +43,6 @@ class InlineActorSystem(ActorRuntime):
                  directive: SupervisionDirective =
                  SupervisionDirective.RESTART):
         super().__init__(name, directive)
-        self._ids = itertools.count(1)      # per-instance: replay-stable
         self.on_deliver: Optional[Callable[[str, Any], None]] = None
 
     def _register(self, cell: Cell) -> None:

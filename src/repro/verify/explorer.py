@@ -42,7 +42,7 @@ are tested against.
 The reduced search replays each run's committed prefix at the cost of a
 plain run: the scheduler records footprints and enabled summaries only
 from the run's branch depth on (``record_from``), the DFS node stack
-keeps each on-path step's ``(ltid, footprint)`` from the run that first
+keeps each on-path step's ``(tid, footprint)`` from the run that first
 executed it, and the conflict scan covers only the new suffix — prefix
 pairs were already handled, on identical steps, by the runs that
 executed them.  Its summary bookkeeping is in proportion to that new
@@ -501,10 +501,10 @@ def _explore_naive(program: Program, *, max_runs: int, max_steps: int,
 class _Node:
     """One depth of the current DFS path, and the state it starts from.
 
-    ``enabled`` is the replay-stable ``(ltid, kind, key)`` summary of the
+    ``enabled`` is the replay-stable ``(tid, kind, key)`` summary of the
     transitions available here; ``done`` holds indices already executed
     or scheduled, ``todo`` the backtrack set still awaiting exploration.
-    ``acc`` accumulates the ``(ltid, footprint)`` pairs executed in this
+    ``acc`` accumulates the ``(tid, footprint)`` pairs executed in this
     state's subtree; it *is* the state's ``summaries`` entry when the
     state has a fingerprint key.  :meth:`take` sets the rest.
     """
@@ -517,16 +517,16 @@ class _Node:
         self.done: set = set()
         self.todo: list = []
 
-    def take(self, ltid: int, footprint: Optional[frozenset],
+    def take(self, tid: int, footprint: Optional[frozenset],
              shape: Optional[tuple]) -> None:
-        """Set the ``(ltid, footprint)`` step (of conflict ``shape``) the
+        """Set the ``(tid, footprint)`` step (of conflict ``shape``) the
         path takes here.
 
         Called once per step, on the run that executes it (replayed
         runs do not re-record it): the pair goes into this state's
         accumulator.
         """
-        self.step = (ltid, footprint)
+        self.step = (tid, footprint)
         self.shape = shape
         self.acc[self.step] = None
 
@@ -534,8 +534,8 @@ class _Node:
         if i not in self.done and i not in self.todo:
             self.todo.append(i)
 
-    def add_task(self, ltid: int) -> bool:
-        """Schedule every transition of ``ltid`` here; False if it has none.
+    def add_task(self, tid: int) -> bool:
+        """Schedule every transition of ``tid`` here; False if it has none.
 
         Whole-task granularity keeps intra-task nondeterminism (several
         deliverable messages, several choice options) together: those
@@ -543,7 +543,7 @@ class _Node:
         """
         hit = False
         for i, summary in enumerate(self.enabled):
-            if summary[0] == ltid:
+            if summary[0] == tid:
                 hit = True
                 self.add_index(i)
         return hit
@@ -602,7 +602,7 @@ def _scan(stack: list[_Node], base: int, top: int, pair: tuple,
       fallback) and the scan continues to the co-enabled race partner
       shielded behind it.
     """
-    ltid = pair[0]
+    tid = pair[0]
     for i in range(top - 1, base - 1, -1):
         node = stack[i]
         other = node.shape
@@ -610,9 +610,9 @@ def _scan(stack: list[_Node], base: int, top: int, pair: tuple,
                 and shape[0].isdisjoint(other[1]) \
                 and shape[1].isdisjoint(other[0]):
             continue
-        if node.step[0] == ltid:
+        if node.step[0] == tid:
             continue
-        if node.add_task(ltid):
+        if node.add_task(tid):
             return
         node.add_everyone()
 
@@ -638,7 +638,7 @@ def _explore_reduced(program: Program, *, max_runs: int, max_steps: int,
     stats = result.stats
     prefix: list[int] = list(init_prefix)
     stack: list[_Node] = []
-    #: (depth, Scheduler.fingerprint()) → (ltid, footprint) pairs
+    #: (depth, Scheduler.fingerprint()) → (tid, footprint) pairs
     #: executed in the subtree below that state, as insertion-ordered
     #: dict keys: a pruned run scans them in their order, so a
     #: hash-ordered set would make the search depend on PYTHONHASHSEED.
@@ -699,12 +699,12 @@ def _explore_reduced(program: Program, *, max_runs: int, max_steps: int,
         # but takes a new step
         if start < len(stack):
             e = events[start]
-            stack[start].take(e.task_ltid, e.footprint, shapes[e.footprint])
+            stack[start].take(e.task_tid, e.footprint, shapes[e.footprint])
         # grow the node stack over this run's newly reached depths
         for d in range(len(stack), len(events)):
             e = events[d]
             node = _Node(e.enabled or (), accs.get(d, {}))
-            node.take(e.task_ltid, e.footprint, shapes[e.footprint])
+            node.take(e.task_tid, e.footprint, shapes[e.footprint])
             node.done.add(e.chosen_index)
             if use_sleep:
                 # branch on intra-task nondeterminism unconditionally;

@@ -9,7 +9,7 @@ from repro.verify import explore
 
 class TestSimChannel:
     def test_fifo_order_preserved(self):
-        chan = SimChannel(capacity=2)
+        chan = SimChannel(capacity=2, name="chan")
 
         def producer():
             for i in range(5):
@@ -24,7 +24,7 @@ class TestSimChannel:
 
     def test_capacity_never_exceeded(self):
         def program(sched):
-            chan = SimChannel(capacity=2)
+            chan = SimChannel(capacity=2, name="chan")
             high = {"max": 0}
 
             def producer():
@@ -43,7 +43,7 @@ class TestSimChannel:
         assert max(res.observations()) <= 2
 
     def test_get_blocks_until_put(self):
-        chan = SimChannel(capacity=1)
+        chan = SimChannel(capacity=1, name="chan")
 
         def consumer():
             value = yield from chan.get_gen()
@@ -55,7 +55,7 @@ class TestSimChannel:
         assert ("got", "item") in trace.output
 
     def test_close_wakes_blocked_getter(self):
-        chan = SimChannel(capacity=1)
+        chan = SimChannel(capacity=1, name="chan")
 
         def consumer():
             yield from chan.get_gen()
@@ -69,7 +69,7 @@ class TestSimChannel:
         assert isinstance(t.error, ChannelClosed)
 
     def test_put_on_closed_channel_fails(self):
-        chan = SimChannel(capacity=1)
+        chan = SimChannel(capacity=1, name="chan")
 
         def worker():
             yield from chan.close_gen()
@@ -80,10 +80,10 @@ class TestSimChannel:
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
-            SimChannel(capacity=0)
+            SimChannel(capacity=0, name="chan")
 
     def test_lonely_getter_deadlocks(self):
-        chan = SimChannel(capacity=1)
+        chan = SimChannel(capacity=1, name="chan")
 
         def consumer():
             yield from chan.get_gen()
@@ -93,7 +93,7 @@ class TestSimChannel:
 
 class TestSimRendezvous:
     def test_value_transferred(self):
-        rdv = SimRendezvous()
+        rdv = SimRendezvous("rdv")
 
         def sender():
             yield from rdv.send_gen("hello")
@@ -107,7 +107,7 @@ class TestSimRendezvous:
         assert "sent" in trace.output
 
     def test_sender_blocks_without_receiver(self):
-        rdv = SimRendezvous()
+        rdv = SimRendezvous("rdv")
 
         def sender():
             yield from rdv.send_gen("nobody listens")
@@ -115,7 +115,7 @@ class TestSimRendezvous:
             run_tasks(sender)
 
     def test_multiple_exchanges_sequence(self):
-        rdv = SimRendezvous()
+        rdv = SimRendezvous("rdv")
 
         def sender():
             for i in range(3):
@@ -132,7 +132,7 @@ class TestSimRendezvous:
         """Every schedule completes both sides with the right value
         (the rendezvous can neither lose nor duplicate the item)."""
         def program(sched):
-            rdv = SimRendezvous()
+            rdv = SimRendezvous("rdv")
             seen = []
 
             def sender():

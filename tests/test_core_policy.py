@@ -12,7 +12,7 @@ from repro.core.task import Task
 def _dummy_transitions(n):
     def gen():
         yield Pause()
-    return [Transition(Task(gen(), name=f"t{i}")) for i in range(n)]
+    return [Transition(Task(gen(), i, name=f"t{i}")) for i in range(n)]
 
 
 class TestRoundRobin:

@@ -109,7 +109,7 @@ class TestSimSemaphore:
 
     def test_negative_permits_rejected(self):
         with pytest.raises(ValueError):
-            SimSemaphore(-1)
+            SimSemaphore(-1, "sem")
 
 
 class TestSimBarrier:

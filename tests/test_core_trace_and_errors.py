@@ -90,12 +90,15 @@ class TestFrozenTraceTypes:
         # the recorded fields really are set, not left at defaults
         first = trace.events[0]
         assert first.footprint is not None and first.enabled is not None
-        assert first.vclock is not None and first.task_ltid >= 0
+        assert first.vclock is not None
+        # a task's tid is its spawn-order index in the run
+        assert {e.task_name: e.task_tid for e in trace.events} == {
+            "w1": 0, "w2": 1}
 
     def test_trace_event_defaults(self):
         event = TraceEvent(step=1, task_tid=2, task_name="t", kind="run",
                            effect_repr="pause", chosen_index=0, fanout=1)
-        assert event.task_ltid == -1
+        assert event.footprint is None and event.enabled is None
         assert event.vclock is None and event.recv_mbox is None
 
     def test_transition(self):
@@ -118,18 +121,18 @@ class TestDeadlockError:
 class TestTask:
     def test_rejects_non_generator(self):
         with pytest.raises(TypeError, match="generator"):
-            Task(lambda: None)
+            Task(lambda: None, 0)
 
     def test_describe_block_defaults_to_state(self):
         def g():
             yield Pause()
-        task = Task(g())
+        task = Task(g(), 0)
         assert task.describe_block() == "ready"
 
     def test_finished_flags(self):
         def g():
             yield Pause()
-        task = Task(g())
+        task = Task(g(), 0)
         assert not task.finished and task.runnable
         task.state = TaskState.DONE
         assert task.finished and not task.runnable
@@ -174,8 +177,8 @@ class TestPseudocodeValues:
         from repro.pseudocode import parse
         from repro.pseudocode.values import Instance
         program = parse("CLASS Box\nENDCLASS")
-        a = Instance(program.classes["Box"])
-        b = Instance(program.classes["Box"])
+        a = Instance(program.classes["Box"], 1)
+        b = Instance(program.classes["Box"], 2)
         assert a != b
         assert a.class_name == "Box"
         assert a.mailbox is not b.mailbox

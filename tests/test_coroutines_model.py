@@ -234,7 +234,7 @@ class TestCoScheduler:
         assert caught == ["inner"]
 
     def test_deadlock_detected(self):
-        chan = CoChannel()
+        chan = CoChannel(name="chan")
 
         def starved():
             yield from chan.get()
@@ -245,7 +245,7 @@ class TestCoScheduler:
         assert info.value.__cause__ is None
 
     def test_deadlock_chains_the_failure_that_caused_it(self):
-        chan = CoChannel()
+        chan = CoChannel(name="chan")
 
         def prod():
             yield pause()
@@ -386,7 +386,7 @@ def _mixed_program(sched):
 
 class TestCoChannelAndFriends:
     def test_bounded_channel_backpressure(self):
-        chan = CoChannel(capacity=1)
+        chan = CoChannel(capacity=1, name="chan")
         out = []
 
         def producer():
@@ -404,7 +404,7 @@ class TestCoChannelAndFriends:
         assert len(chan) == 0
 
     def test_channel_close_unblocks_getter(self):
-        chan = CoChannel()
+        chan = CoChannel(name="chan")
         outcome = []
 
         def getter():
@@ -459,7 +459,7 @@ class TestCoChannelAndFriends:
 
 class TestAsyncioBridge:
     def test_same_tasks_run_on_asyncio(self):
-        chan = CoChannel(capacity=2)
+        chan = CoChannel(capacity=2, name="chan")
         out = []
 
         def producer():

@@ -169,7 +169,7 @@ def _coroutine_snapshot():
     """Cooperative runtime: channel producer/consumer, instrumented."""
     metrics = Metrics(clock=FakeClock())
     sched = CoScheduler(profiler=metrics)
-    chan = CoChannel(capacity=1)
+    chan = CoChannel(capacity=1, name="chan")
     out = []
 
     def producer():

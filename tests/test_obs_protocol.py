@@ -320,7 +320,7 @@ class TestCoChannelConformance:
     def test_untapped_channel_feeds_nothing(self):
         sched = CoScheduler(monitors=protocol_bus(
             [Protocol("p", "A")], include_default=False))
-        chan = CoChannel(capacity=2)      # no sched= -> no taps
+        chan = CoChannel(capacity=2, name="chan")      # no sched= -> no taps
 
         def producer():
             yield from chan.put(("a",))

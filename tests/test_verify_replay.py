@@ -19,10 +19,16 @@ module pins:
   summaries are iterated in insertion order, not hash order);
 * that a run recording from step ``k`` records, from ``k`` on, exactly
   the footprints and enabled summaries a fully recording run records —
-  including ``Access`` announcements made below ``k``.
+  including ``Access`` announcements made below ``k``;
+* that an exploration's hazard report names tasks and messages by ids
+  the run assigns: the same report twice in one process, after an
+  unrelated exploration, and with two workers, and a protocol
+  violation listed once — with a mutation pin that shares one envelope
+  counter across schedulers and must break the repeat.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -32,9 +38,11 @@ import sys
 import pytest
 
 import repro
-from repro.core import RandomPolicy, Scheduler
+from repro.core import Mailbox, RandomPolicy, Scheduler
+from repro.obs import protocol_bus
 from repro.problems import kernel_program, kernel_program_names
 from repro.problems.bounded_buffer import buffer_program
+from repro.problems.bug_gallery import gallery
 from repro.problems.single_lane_bridge import bridge_program
 from repro.pseudocode import compile_program
 from repro.sim import explore_world, scenarios
@@ -230,3 +238,68 @@ def test_recording_from_k_matches_full_recording(seed):
         assert all(e.footprint is None and e.enabled is None
                    for e in trace.events[:k]), k
         assert _recorded(trace.events[k:]) == _recorded(full.events[k:]), k
+
+
+# ---------------------------------------------------------------------------
+# replay-stable identities: hazard reports do not depend on what ran
+# earlier in the process, or in which worker
+# ---------------------------------------------------------------------------
+
+def _msgorder_hazards(workers=1):
+    """The hazards ``repro monitor bug:msgorder-init-work --explore``
+    lists: the buggy program under its protocol bus."""
+    spec = next(s for s in gallery() if s.bug_id == "msgorder-init-work")
+    res = explore(kernel_program("bug:msgorder-init-work"), reduce=True,
+                  workers=workers,
+                  monitors=lambda: protocol_bus([spec.protocol]))
+    assert res.complete
+    return res.hazards
+
+
+def _reorder_messages(hazards):
+    return [h.message for h in hazards if h.kind == "message-reorder"]
+
+
+def test_explored_hazards_repeat_in_one_process():
+    first, second = _msgorder_hazards(), _msgorder_hazards()
+    assert first == second
+
+
+def test_explored_hazards_independent_of_workers():
+    assert {h.key for h in _msgorder_hazards(workers=2)} == \
+        {h.key for h in _msgorder_hazards()}
+
+
+def test_protocol_violation_listed_once():
+    violations = [h for h in _msgorder_hazards()
+                  if h.kind == "protocol-violation"]
+    assert len(violations) == 1
+    # the client's first send: tid 1 in spawn order (booter, client,
+    # worker), whichever of the two sends was deposited first
+    assert violations[0].seq == (1, 1)
+
+
+def test_reorder_numbers_survive_an_unrelated_exploration():
+    before = _reorder_messages(_msgorder_hazards())
+    explore(kernel_program("pingpong"), reduce=True, monitors=True)
+    explore(buffer_program(capacity=1, producers=1, consumers=1,
+                           items_each=2), reduce=True)
+    assert _reorder_messages(_msgorder_hazards()) == before == [
+        "worker received message #1 from 'worker' after message #2: "
+        "arrival order differs from deposit order"]
+
+
+def test_process_wide_envelope_seqs_break_determinism(monkeypatch):
+    """Mutation pin: envelope seqs drawn from one counter shared by all
+    schedulers (the kernel before seqs were numbered per run) make the
+    same exploration report different hazards the second time."""
+    shared = itertools.count(1)
+    deposit = Mailbox._deposit
+
+    def shared_seq(self, message, sender, seq):
+        return deposit(self, message, sender, next(shared))
+
+    monkeypatch.setattr(Mailbox, "_deposit", shared_seq)
+    first, second = _msgorder_hazards(), _msgorder_hazards()
+    assert first != second
+    assert _reorder_messages(first) != _reorder_messages(second)
